@@ -114,12 +114,6 @@ class ModuleList(Module):
     def __getitem__(self, i):
         return self._items[i]
 
-    def train(self, flag=True):
-        object.__setattr__(self, "training", flag)
-        for m in self._items:
-            m.train(flag)
-        return self
-
 
 class Conv2d(Module):
     def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, padding=0):

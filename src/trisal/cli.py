@@ -30,18 +30,6 @@ from .errors import (
 )
 from .tensor import Tensor
 
-ABLATION_ORDER = (
-    "A1_no_depth",
-    "B1_depth_main",
-    "B2_flow_main",
-    "C1_no_mam",
-    "C2_self_nonlocal",
-    "C3_no_rfm",
-    "C4_flat_concat",
-    "Full",
-)
-
-
 def _resolve_out(args, cfg):
     if getattr(args, "out", None):
         return args.out
@@ -180,11 +168,10 @@ def cmd_ablate(args):
     log_dir = os.path.join(out, "logs")
     os.makedirs(log_dir, exist_ok=True)
     results = []
-    for variant in ABLATION_ORDER:
+    for variant, label in M.VARIANT_LABELS.items():
         vcfg = dataclasses.replace(cfg.model, variant=variant)
         model = M.build(vcfg)
         rows = M.fit(model, samples, vcfg)
-        label = M.VARIANT_LABELS[variant]
         _write_loss_log(os.path.join(log_dir, f"{label}_loss.csv"), rows)
         report = MT.evaluate_sequences(_sequences_from_model(model, eval_clips), cfg.metrics)
         agg = report.aggregate

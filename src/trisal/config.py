@@ -7,12 +7,9 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from .data import ClipSpec, preset_specs
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown_keys
 from .metrics import MetricsConfig
 from .model import ModelConfig
-
-_TOP_KEYS = ("model", "metrics", "preset", "clips", "data_dir", "out_dir")
-
 
 @dataclass
 class RunConfig:
@@ -25,9 +22,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = sorted(set(d) - set(_TOP_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
+        reject_unknown_keys(d, cls, "config")
         return cls(
             model=ModelConfig.from_dict(d.get("model", {})),
             metrics=MetricsConfig.from_dict(d.get("metrics", {})),

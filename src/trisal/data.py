@@ -12,11 +12,11 @@ floats at generation time, making disk round-trips bit-identical.
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reject_unknown_keys
 
 BACKGROUNDS = ("flat", "textured", "cluttered", "moving")
 OBJECT_KINDS = ("rectangle", "ellipse")
@@ -51,10 +51,7 @@ class ClipSpec:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown clip spec keys: {unknown}")
+        reject_unknown_keys(d, cls, "clip spec")
         return cls(**d)
 
 
@@ -387,9 +384,16 @@ def _write_pnm(path, planes, magic):
         fh.write(planes.tobytes())
 
 
+def _read_bytes(path):
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _read_pnm(path, magic):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bytes(path)
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -432,8 +436,7 @@ def write_flo(path, flow):
 
 
 def read_flo(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bytes(path)
     if raw[:4] != b"PIEH":
         raise DataError(f"{path}: bad flow magic at byte 0: {raw[:4]!r}")
     if len(raw) < 12:
@@ -495,12 +498,15 @@ def read_dataset(data_dir):
             manifest = json.load(fh)
         except ValueError as exc:
             raise DataError(f"{manifest_path}: malformed JSON: {exc}") from None
+    try:
+        entries = [(e["name"], e["frames"], e["spec"]) for e in manifest["clips"]]
+    except KeyError as exc:
+        raise DataError(f"{manifest_path}: manifest lacks key {exc}") from None
     clips = []
-    for entry in manifest["clips"]:
-        name = entry["name"]
+    for name, frames, spec in entries:
         base = os.path.join(data_dir, name)
         samples = []
-        for i in range(entry["frames"]):
+        for i in range(frames):
             rgb8 = _read_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), "P6")
             gt8 = _read_pnm(os.path.join(base, "gt", f"{i:04d}.pgm"), "P5")
             depth8 = _read_pnm(os.path.join(base, "depth", f"{i:04d}.pgm"), "P5")
@@ -516,7 +522,7 @@ def read_dataset(data_dir):
                     gt=(gt8[None] == 255).astype(np.float64),
                 )
             )
-        clips.append(Clip(name=name, spec=ClipSpec.from_dict(entry["spec"]), samples=samples))
+        clips.append(Clip(name=name, spec=ClipSpec.from_dict(spec), samples=samples))
     return clips
 
 

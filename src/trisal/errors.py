@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key check that
+every config document goes through."""
+
+from dataclasses import fields
 
 
 class TrisalError(Exception):
@@ -27,3 +30,10 @@ class NumericalError(TrisalError):
 
 class VerificationError(TrisalError):
     """A self-check (gradient check, invariant) failed."""
+
+
+def reject_unknown_keys(d, cls, what):
+    """Raise ConfigError naming every key of ``d`` that is not a field of ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")

@@ -27,10 +27,17 @@ def _flatten_rows(x):
     return T.transpose_last2(T.reshape(x, (b, c, h * w)))
 
 
-def _unflatten_rows(x, h, w):
-    """(B, HW, C) -> (B, C, H, W)."""
-    b, hw, c = x.shape
-    return T.reshape(T.transpose_last2(x), (b, c, h, w))
+def _affinity(query, key):
+    """Row-stochastic (B, HW, HW) matrix from (B, C', H, W) query and key maps."""
+    b, c, h, w = key.shape
+    return T.softmax_rows(T.matmul(_flatten_rows(query), T.reshape(key, (b, c, h * w))))
+
+
+def _attend(attn, value):
+    """Mix the positions of a (B, C, H, W) value map by an affinity matrix."""
+    b, c, h, w = value.shape
+    mixed = T.matmul(attn, _flatten_rows(value))
+    return T.reshape(T.transpose_last2(mixed), (b, c, h, w))
 
 
 class PairAttention(Module):
@@ -57,19 +64,13 @@ class PairAttention(Module):
     def affinity(self, x_main, x_aux):
         """Row-stochastic (B, HW, HW) attention matrix for the pair."""
         h = self.hybrid(T.concat_channels([x_main, x_aux]))
-        b, c, hh, ww = h.shape
-        q = _flatten_rows(self.query(h))
-        k = T.reshape(self.key(h), (b, c // 2, hh * ww))
-        return T.softmax_rows(T.matmul(q, k))
+        return _affinity(self.query(h), self.key(h))
 
     def forward(self, x_main, x_aux):
         _require_same_shape("pair attention", [x_main, x_aux])
-        _, _, hh, ww = x_main.shape
         attn = self.affinity(x_main, x_aux)
-        mixed_main = T.matmul(attn, _flatten_rows(self.value_main(x_main)))
-        mixed_aux = T.matmul(attn, _flatten_rows(self.value_aux(x_aux)))
-        assist_main = self.out_main(_unflatten_rows(mixed_main, hh, ww))
-        assist_aux = self.out_aux(_unflatten_rows(mixed_aux, hh, ww))
+        assist_main = self.out_main(_attend(attn, self.value_main(x_main)))
+        assist_aux = self.out_aux(_attend(attn, self.value_aux(x_aux)))
         return assist_main, assist_aux
 
 
@@ -100,8 +101,7 @@ class CrossModalAttention(Module):
             a_main, a_aux = pair(x_main, x_aux)
             assisted.append(T.add(x_main, a_main))
             aux_out.append(T.add(x_aux, a_aux))
-        y_main = self.aggregate(T.concat_channels(assisted)) if len(assisted) > 1 else self.aggregate(assisted[0])
-        return y_main, aux_out
+        return self.aggregate(T.concat_channels(assisted)), aux_out
 
 
 class SelfAttention(Module):
@@ -118,12 +118,8 @@ class SelfAttention(Module):
         self.out = Conv2d(ch, ch, 1, rng)
 
     def forward(self, x):
-        b, c, hh, ww = x.shape
-        q = _flatten_rows(self.query(x))
-        k = T.reshape(self.key(x), (b, c // 2, hh * ww))
-        attn = T.softmax_rows(T.matmul(q, k))
-        mixed = T.matmul(attn, _flatten_rows(self.value(x)))
-        return T.add(x, self.out(_unflatten_rows(mixed, hh, ww)))
+        attn = _affinity(self.query(x), self.key(x))
+        return T.add(x, self.out(_attend(attn, self.value(x))))
 
 
 class RefinementFusion(Module):
@@ -181,7 +177,7 @@ class RefinementFusion(Module):
             collect["main_gated"] = z_main
         if self.variant == "flat_concat":
             return self.fuse_all(T.concat_channels([z_main] + z_aux))
-        fused_aux = self.fuse_aux(T.concat_channels(z_aux)) if len(z_aux) > 1 else self.fuse_aux(z_aux[0])
+        fused_aux = self.fuse_aux(T.concat_channels(z_aux))
         return self.fuse_final(T.concat_channels([z_main, fused_aux]))
 
 

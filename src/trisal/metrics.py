@@ -14,11 +14,11 @@ Conventions, fixed here and mirrored by the test oracles:
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, NumericalError, ShapeError, reject_unknown_keys
 
 
 @dataclass
@@ -37,10 +37,7 @@ class MetricsConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown metrics config keys: {unknown}")
+        reject_unknown_keys(d, cls, "metrics config")
         return cls(**d)
 
 
@@ -49,8 +46,12 @@ def _check_pair(pred, gt):
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction shape {pred.shape} != ground truth shape {gt.shape}")
-    if pred.min() < 0.0 or pred.max() > 1.0:
-        raise ContractError(f"prediction values outside [0, 1]: [{pred.min()}, {pred.max()}]")
+    lo, hi = pred.min(), pred.max()  # NaN if any pixel is NaN
+    if not np.isfinite(lo + hi):
+        bad = np.count_nonzero(~np.isfinite(pred))
+        raise NumericalError(f"prediction holds {bad} non-finite pixels (NaN or inf)")
+    if lo < 0.0 or hi > 1.0:
+        raise ContractError(f"prediction values outside [0, 1]: [{lo}, {hi}]")
     if not np.all((gt == 0.0) | (gt == 1.0)):
         raise ContractError("ground truth must be binary")
     return pred, gt

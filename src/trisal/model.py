@@ -9,13 +9,13 @@ level. Ablation variants rewire exactly one of those stages at build time.
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .blocks import BConv, Conv2d, Encoder, Module, ModuleList
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError, reject_unknown_keys
 from .fusion import ConcatFuse, CrossModalAttention, RefinementFusion, SelfAttention
 from .tensor import Tensor
 
@@ -79,27 +79,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {unknown}")
+        reject_unknown_keys(d, cls, "model config")
         return cls(**d)
-
-
-@dataclass
-class SideOutputs:
-    """Pre-sigmoid logit maps, finest level first (S_1 at input/2)."""
-
-    maps: list
-
-    def __iter__(self):
-        return iter(self.maps)
-
-    def __getitem__(self, i):
-        return self.maps[i]
-
-    def __len__(self):
-        return len(self.maps)
 
 
 def _stream_layout(variant):
@@ -148,6 +129,7 @@ class SaliencyModel(Module):
         return sum(p.data.size for p in self.parameters())
 
     def forward(self, rgb, depth, flow):
+        """Pre-sigmoid side-output logit maps, finest level first (S_1 at input/2)."""
         inputs = {"rgb": rgb, "depth": depth, "flow": flow}
         shapes = {k: v.shape for k, v in inputs.items() if k in self.streams}
         base = next(iter(shapes.values()))
@@ -176,7 +158,7 @@ class SaliencyModel(Module):
         for lvl in (3, 2, 1, 0):
             state = self.dec[lvl](T.concat_channels([fused[lvl], T.upsample_bilinear_x2(state)]))
             outputs[lvl] = self.heads[lvl](state)
-        return SideOutputs(outputs)
+        return outputs
 
 
 def build(config):
@@ -226,13 +208,17 @@ def level_losses(outputs, gt, iou_eps=1.0):
     return losses
 
 
-def loss_total(outputs, gt):
+def weighted_total(losses):
     """Sum of per-level losses, each deeper level weighted half the previous."""
-    losses = level_losses(outputs, gt)
     total = T.mul(losses[0], Tensor(LEVEL_WEIGHTS[0]))
     for w, l in zip(LEVEL_WEIGHTS[1:], losses[1:]):
         total = T.add(total, T.mul(l, Tensor(w)))
     return total
+
+
+def loss_total(outputs, gt):
+    """The training loss: ``weighted_total`` of ``level_losses``."""
+    return weighted_total(level_losses(outputs, gt))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +290,7 @@ def train_step(model, optimizer, batch, step=None):
     with T.Tape() as tape:
         outputs = model(rgb, depth, flow)
         per_level = level_losses(outputs, gt)
-        total = loss_total(outputs, gt)
+        total = weighted_total(per_level)
         if not np.isfinite(total.data):
             culprit = tape.first_nonfinite()
             where = f"op '{culprit[0]}' (record {culprit[1]})" if culprit else "loss"

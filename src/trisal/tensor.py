@@ -38,8 +38,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self.node_id = None
-        self.tape = None
+        self.tape = None  # the tape that recorded this tensor, if one did
 
     @property
     def shape(self):
@@ -48,9 +47,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def item(self):
-        return float(self.data)
 
     def zero_grad(self):
         if self.grad is not None:
@@ -96,12 +92,11 @@ def _wrap(x):
 
 
 class _OpRecord:
-    __slots__ = ("name", "inputs", "input_ids", "output_id", "out_data", "backward_fn")
+    __slots__ = ("name", "inputs", "output_id", "out_data", "backward_fn")
 
-    def __init__(self, name, inputs, input_ids, output_id, out_data, backward_fn):
+    def __init__(self, name, inputs, output_id, out_data, backward_fn):
         self.name = name
         self.inputs = inputs
-        self.input_ids = input_ids
         self.output_id = output_id
         self.out_data = out_data
         self.backward_fn = backward_fn
@@ -112,15 +107,15 @@ class Tape:
 
     Use as a context manager around the forward pass, then call
     ``backward(loss)`` (or ``loss.backward()``). A tape can be consumed by
-    backward exactly once.
+    backward exactly once. A tensor recorded by this tape has ``tape`` set to
+    it; every other input, including a tensor recorded by another tape, is a
+    leaf whose gradient accumulates into ``grad``.
     """
 
     def __init__(self):
         self.ops = []
         self.finished = False
-        self._ids = {}  # id(tensor) -> node id, valid while records keep tensors alive
-        self._produced = set()
-        self._next_id = 0
+        self._counts = Counter()
 
     def __enter__(self):
         _TAPES.append(self)
@@ -130,25 +125,14 @@ class Tape:
         _TAPES.pop()
         return False
 
-    def _node_id(self, t):
-        nid = self._ids.get(id(t))
-        if nid is None:
-            nid = self._next_id
-            self._next_id += 1
-            self._ids[id(t)] = nid
-            t.node_id = nid
-        return nid
-
     def record(self, name, inputs, out, backward_fn):
-        in_ids = tuple(self._node_id(t) for t in inputs)
-        out_id = self._node_id(out)
         out.tape = self
-        self._produced.add(out_id)
-        self.ops.append(_OpRecord(name, inputs, in_ids, out_id, out.data, backward_fn))
+        self._counts[name] += 1
+        self.ops.append(_OpRecord(name, inputs, id(out), out.data, backward_fn))
 
     def op_counts(self):
         """Counter of op names recorded so far (instrumentation hook)."""
-        return Counter(op.name for op in self.ops)
+        return Counter(self._counts)
 
     def first_nonfinite(self):
         """Name and index of the first op whose output holds NaN/Inf, or None."""
@@ -163,20 +147,23 @@ class Tape:
         if loss.data.ndim != 0:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         self.finished = True
-        grads = {self._ids[id(loss)]: np.ones((), dtype=np.float64)}
-        for op in reversed(self.ops):
+        # Gradients are keyed by id() of the loss and of recorded inputs. Such a
+        # tensor lives from its creation to the end of the forward, so only an
+        # output that died before it was made can share its id, and that
+        # record comes earlier, after the key has been popped. Popping records
+        # frees what only they hold and breaks the tensor -> tape cycle.
+        grads = {id(loss): np.ones((), dtype=np.float64)}
+        while self.ops:
+            op = self.ops.pop()
             g = grads.pop(op.output_id, None)
             if g is None:
                 continue
-            in_grads = op.backward_fn(g)
-            for t, tid, gi in zip(op.inputs, op.input_ids, in_grads):
+            for t, gi in zip(op.inputs, op.backward_fn(g)):
                 if gi is None or not t.requires_grad:
                     continue
-                if tid in self._produced:
-                    if tid in grads:
-                        grads[tid] = grads[tid] + gi
-                    else:
-                        grads[tid] = gi
+                if t.tape is self:
+                    key = id(t)
+                    grads[key] = grads[key] + gi if key in grads else gi
                 else:  # leaf: accumulate into its grad buffer
                     if t.grad is None:
                         t.grad = np.zeros_like(t.data)
@@ -536,35 +523,6 @@ def batchnorm2d(x, gamma, beta, running_stats, mode, eps=1e-5, momentum=0.1):
     return _make("batchnorm2d", out, (x, gamma, beta), bwd)
 
 
-def max_pool2d(x, k, stride):
-    """Max pooling with square window k and the given stride; ties keep the first."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"max_pool2d expects a 4-D map, got {xd.shape}")
-    b_, c, h, w = xd.shape
-    out_h = (h - k) // stride + 1
-    out_w = (w - k) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"max_pool2d: window {k} stride {stride} too large for {xd.shape}")
-    wins = np.empty((b_, c, out_h, out_w, k * k), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            wins[:, :, :, :, i * k + j] = xd[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
-    arg = wins.argmax(axis=-1)
-    out = np.take_along_axis(wins, arg[..., None], axis=-1)[..., 0]
-
-    def bwd(g):
-        onehot = (np.arange(k * k)[None, None, None, None, :] == arg[..., None]).astype(np.float64)
-        contrib = onehot * g[..., None]
-        gx = np.zeros_like(xd)
-        for i in range(k):
-            for j in range(k):
-                gx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += contrib[:, :, :, :, i * k + j]
-        return (gx,)
-
-    return _make("max_pool2d", out, (x,), bwd)
-
-
 _BILINEAR_CACHE = {}
 
 
@@ -620,7 +578,7 @@ def grad_check(f, x, step=1e-5):
     """Max relative error between tape gradients and central differences.
 
     ``f`` maps a Tensor to a scalar Tensor and must be smooth at ``x`` (keep
-    inputs away from relu kinks and pooling ties). The error per coordinate is
+    inputs away from relu and clamp kinks). The error per coordinate is
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     if x.grad is None:

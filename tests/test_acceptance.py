@@ -78,17 +78,17 @@ def test_criterion_4_loss_contract():
     rng = np.random.default_rng(404)
     gt = Tensor(np.ones((2, 1, 32, 32)))
     sizes = [16, 8, 4, 2, 1]
-    perfect = M.SideOutputs([Tensor(np.full((2, 1, s, s), 20.0)) for s in sizes])
+    perfect = [Tensor(np.full((2, 1, s, s), 20.0)) for s in sizes]
     total = M.loss_total(perfect, gt)
     assert float(total.data) <= 1e-6
 
-    base = M.SideOutputs([Tensor(np.full((2, 1, s, s), 20.0)) for s in sizes])
+    base = [Tensor(np.full((2, 1, s, s), 20.0)) for s in sizes]
     t_perfect = float(M.loss_total(base, gt).data)
     deltas = []
     for lvl in range(5):
         maps = [Tensor(np.full((2, 1, s, s), 20.0)) for s in sizes]
         maps[lvl] = Tensor(np.zeros((2, 1, sizes[lvl], sizes[lvl])))
-        deltas.append(float(M.loss_total(M.SideOutputs(maps), gt).data) - t_perfect)
+        deltas.append(float(M.loss_total(maps, gt).data) - t_perfect)
     ratios = [d / deltas[0] for d in deltas]
     assert ratios == [1.0, 0.5, 0.25, 0.125, 0.0625], ratios
     _report("4 loss-contract", f"perfect loss {float(total.data):.2e}, ratios {ratios}")

@@ -156,6 +156,46 @@ def test_missing_dataset_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR DATA:")
 
 
+def _drop_manifest_frames(data_dir):
+    path = os.path.join(data_dir, "manifest.json")
+    doc = json.loads(open(path).read())
+    del doc["clips"][0]["frames"]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+DATA_FAULTS = [
+    ("missing_rgb_frame", lambda d: os.remove(os.path.join(d, "clip00", "rgb", "0003.ppm")), "0003.ppm"),
+    ("missing_flow_frame", lambda d: os.remove(os.path.join(d, "clip00", "flow", "0000.flo")), "0000.flo"),
+    ("manifest_entry_without_frames", _drop_manifest_frames, "'frames'"),
+]
+
+
+@pytest.fixture(scope="module")
+def four_frame_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("faults")
+    cfg_path = root / "run.json"
+    cfg_path.write_text(json.dumps({"clips": [{"seed": 5, "frames": 4, "size": 32, "contrast": 0.9}]}))
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("name,damage,named", DATA_FAULTS, ids=[c[0] for c in DATA_FAULTS])
+def test_damaged_dataset_exits_3(four_frame_data, tmp_path, name, damage, named):
+    data = tmp_path / "data"
+    shutil.copytree(four_frame_data, data)
+    damage(str(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trisal.cli", "train", "--data", str(data), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), proc.stderr
+    assert named in lines[0]
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from trisal import metrics as MT
-from trisal.errors import ConfigError, ContractError, ShapeError
+from trisal.errors import ConfigError, ContractError, NumericalError, ShapeError
 
 
 def rng(seed=0):
@@ -178,6 +178,17 @@ def test_max_f_monotone_in_threshold_count():
 def test_max_f_rejects_out_of_range_prediction():
     with pytest.raises(ContractError):
         MT.max_f_measure(np.full((2, 2), 1.5), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("metric", [MT.mae, MT.max_f_measure, MT.s_measure], ids=lambda f: f.__name__)
+def test_metrics_reject_nonfinite_prediction(metric):
+    gt = np.zeros((8, 8))
+    gt[2:6, 2:6] = 1.0
+    pred = gt.copy()
+    pred[3, 3] = np.nan
+    pred[0, 7] = np.inf
+    with pytest.raises(NumericalError, match="2 non-finite"):
+        metric(pred, gt)
 
 
 def test_pixel_metrics_permutation_invariant():

@@ -1,5 +1,6 @@
 """Unit tests for network assembly, supervision, and the training loop."""
 
+import gc
 import math
 import types
 
@@ -152,7 +153,7 @@ def test_attention_op_counts_by_variant():
 
 
 def _const_outputs(levels_hw, value):
-    return M.SideOutputs([Tensor(np.full((1, 1, h, h), value)) for h in levels_hw])
+    return [Tensor(np.full((1, 1, h, h), value)) for h in levels_hw]
 
 
 LEVEL_HW = [16, 8, 4, 2, 1]  # for 32x32 ground truth
@@ -173,7 +174,7 @@ def test_loss_rejects_nonbinary_gt():
 
 def test_loss_hand_case_half_probability():
     gt = Tensor(np.ones((1, 1, 2, 2)))
-    outputs = M.SideOutputs([Tensor(np.zeros((1, 1, 1, 1)))])
+    outputs = [Tensor(np.zeros((1, 1, 1, 1)))]
     (l,) = M.level_losses(outputs, gt)
     inter = 0.5 * 4
     union = 0.5 * 4 + 4 - inter
@@ -189,7 +190,7 @@ def test_level_weights_by_isolation():
     for lvl in range(5):
         maps = [Tensor(np.full((1, 1, h, h), 20.0)) for h in LEVEL_HW]
         maps[lvl] = Tensor(np.zeros((1, 1, LEVEL_HW[lvl], LEVEL_HW[lvl])))
-        totals.append(float(M.loss_total(M.SideOutputs(maps), gt).data))
+        totals.append(float(M.loss_total(maps, gt).data))
     base = totals[0] - perfect
     for lvl in range(5):
         npt.assert_allclose((totals[lvl] - perfect) / base, M.LEVEL_WEIGHTS[lvl], atol=1e-12)
@@ -200,7 +201,7 @@ def test_loss_nonnegative_random_sweep():
     for _ in range(20):
         gt = Tensor((rng.uniform(0, 1, (1, 1, 32, 32)) > rng.uniform(0.2, 0.8)).astype(np.float64))
         maps = [Tensor(rng.normal(scale=3.0, size=(1, 1, h, h))) for h in LEVEL_HW]
-        assert float(M.loss_total(M.SideOutputs(maps), gt).data) >= 0.0
+        assert float(M.loss_total(maps, gt).data) >= 0.0
 
 
 def test_iou_permutation_invariance():
@@ -210,7 +211,7 @@ def test_iou_permutation_invariance():
     perm = rng.permutation(64)
 
     def one_level_loss(g, s):
-        out = M.SideOutputs([Tensor(s.reshape(1, 1, 8, 8))])
+        out = [Tensor(s.reshape(1, 1, 8, 8))]
         return float(M.level_losses(out, Tensor(g.reshape(1, 1, 8, 8)))[0].data)
 
     npt.assert_allclose(
@@ -260,6 +261,43 @@ def test_zero_lr_freezes_parameters_bitwise():
     M.train_step(model, opt, M.make_batch(samples, [0, 1]))
     after = {k: v.data.tobytes() for k, v in model.state_dict().items() if v.requires_grad}
     assert before == after
+
+
+def test_train_step_leaves_no_tape_alive():
+    samples = make_samples(2, seed=16)
+    cfg = small_config()
+    model = M.build(cfg)
+    opt = M.make_optimizer(model, cfg)
+    batch = M.make_batch(samples, [0, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        M.train_step(model, opt, batch)
+        live = sum(isinstance(o, T.Tape) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert live == 0
+
+
+def test_train_step_builds_the_loss_once(monkeypatch):
+    samples = make_samples(2, seed=17)
+    cfg = small_config()
+    model = M.build(cfg)
+    opt = M.make_optimizer(model, cfg)
+    calls = []
+    level_losses = M.level_losses
+
+    def counted(outputs, gt):
+        calls.append((outputs, gt))
+        return level_losses(outputs, gt)
+
+    monkeypatch.setattr(M, "level_losses", counted)
+    total, per_level = M.train_step(model, opt, M.make_batch(samples, [0, 1]))
+    monkeypatch.undo()
+    assert len(calls) == 1
+    outputs, gt = calls[0]
+    assert total == float(M.loss_total(outputs, gt).data)
+    assert per_level == [float(l.data) for l in M.level_losses(outputs, gt)]
 
 
 def test_fit_log_deterministic():

@@ -241,12 +241,6 @@ def test_upsample_known_1d_profile():
     npt.assert_allclose(out.data[0, 0, :, :], [[0.0, 0.5, 1.5, 2.0], [0.0, 0.5, 1.5, 2.0]])
 
 
-def test_max_pool_hand_case():
-    x = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-    out = T.max_pool2d(x, 2, 2)
-    npt.assert_array_equal(out.data, [[[[4.0]]]])
-
-
 def test_global_avg_pool_values():
     x = T.Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
     npt.assert_allclose(T.global_avg_pool(x).data, [[7.5]])
@@ -301,14 +295,6 @@ def test_op_gradients(name, build):
     assert T.grad_check(f, x) <= 1e-5
 
 
-def test_max_pool_gradient():
-    # Offset entries so no pooling window has ties.
-    base = np.arange(2 * 2 * 4 * 4, dtype=np.float64).reshape(2, 2, 4, 4)
-    x = T.Tensor(base + np.random.default_rng(29).uniform(-0.2, 0.2, base.shape), requires_grad=True)
-    v = T.Tensor(np.random.default_rng(30).uniform(-1, 1, (2, 2, 2, 2)))
-    assert T.grad_check(lambda t: T.sum_all(T.mul(T.max_pool2d(t, 2, 2), v)), x) <= 1e-5
-
-
 def test_broadcast_gradient_unbroadcasts():
     x = rand(1, 3, 1, 1, seed=31)
     y = T.Tensor(np.random.default_rng(32).uniform(-1, 1, (2, 3, 4, 4)))
@@ -349,6 +335,27 @@ def test_gradient_accumulation_two_branches():
         y = T.add(T.sum_all(x), T.sum_all(x))
     y.backward()
     npt.assert_array_equal(x.grad, np.full((3, 3), 2.0))
+
+
+def test_tensor_from_another_tape_is_a_leaf():
+    x = rand(2, 2, seed=42)
+    with T.Tape() as first:
+        y = T.mul(x, T.Tensor(3.0))
+    assert y.tape is first and y.requires_grad and y.grad is None
+    with T.Tape():
+        loss = T.sum_all(T.mul(y, y))
+    loss.backward()
+    npt.assert_array_equal(y.grad, 2.0 * y.data)
+    npt.assert_array_equal(x.grad, np.zeros((2, 2)))  # first tape was never run backward
+
+
+def test_backward_releases_records():
+    x = rand(2, 2, seed=43)
+    with T.Tape() as tape:
+        loss = T.sum_all(T.relu(x))
+    loss.backward()
+    assert tape.ops == []
+    assert tape.op_counts() == {"relu": 1, "sum_all": 1}
 
 
 def test_grad_check_quadratic():
