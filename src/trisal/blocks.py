@@ -10,7 +10,7 @@ tree by dotted name. Initialization is deterministic given the caller's
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import Tensor
 
 

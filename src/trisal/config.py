@@ -2,12 +2,11 @@
 the dataset/output paths. Every field has a default, so ``{}`` is a complete
 config; unknown keys anywhere in the document are rejected."""
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 
 from .data import ClipSpec, preset_specs
-from .errors import ConfigError, reject_unknown_keys
+from .errors import ConfigError, read_json, reject_unknown_keys, write_json
 from .metrics import MetricsConfig
 from .model import ModelConfig
 
@@ -44,23 +43,12 @@ def load_config(path=None):
     """Parse a JSON run config; a missing path means all defaults."""
     if path is None:
         return RunConfig.from_dict({})
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
-    return RunConfig.from_dict(doc)
+    return read_json(path, RunConfig.from_dict, ConfigError)
 
 
 def echo_config(cfg, out_dir):
     """Write the fully resolved config next to the run's outputs."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.json")
-    with open(path, "w") as fh:
-        json.dump(cfg.resolved(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, cfg.resolved())
     return path

@@ -9,14 +9,14 @@ estimate. RGB and depth are snapped to the 8-bit grid and flow to 32-bit
 floats at generation time, making disk round-trips bit-identical.
 """
 
-import json
+import contextlib
 import os
 import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, reject_unknown_keys
+from .errors import ConfigError, DataError, read_bytes, read_json, reject_unknown_keys, write_json
 
 BACKGROUNDS = ("flat", "textured", "cluttered", "moving")
 OBJECT_KINDS = ("rectangle", "ellipse")
@@ -384,16 +384,8 @@ def _write_pnm(path, planes, magic):
         fh.write(planes.tobytes())
 
 
-def _read_bytes(path):
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
 def _read_pnm(path, magic):
-    raw = _read_bytes(path)
+    raw = read_bytes(path)
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -436,7 +428,7 @@ def write_flo(path, flow):
 
 
 def read_flo(path):
-    raw = _read_bytes(path)
+    raw = read_bytes(path)
     if raw[:4] != b"PIEH":
         raise DataError(f"{path}: bad flow magic at byte 0: {raw[:4]!r}")
     if len(raw) < 12:
@@ -461,9 +453,12 @@ class Clip:
 
 
 def write_dataset(clips, out_dir):
-    """Write clips under ``out_dir`` with one subdirectory per clip and a
-    manifest naming them in order."""
+    """Write clips under ``out_dir``, one subdirectory per clip, then the
+    manifest naming them in order; a write cut short leaves no manifest."""
     os.makedirs(out_dir, exist_ok=True)
+    manifest = os.path.join(out_dir, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest)
     entries = []
     for clip in clips:
         base = os.path.join(out_dir, clip.name)
@@ -484,29 +479,21 @@ def write_dataset(clips, out_dir):
             )
             write_flo(os.path.join(base, "flow", f"{i:04d}.flo"), s.flow)
         entries.append({"name": clip.name, "frames": len(clip.samples), "spec": asdict(clip.spec)})
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump({"clips": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, {"clips": entries})
 
 
 def read_dataset(data_dir):
-    manifest_path = os.path.join(data_dir, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise DataError(f"no dataset manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"{manifest_path}: malformed JSON: {exc}") from None
-    try:
-        entries = [(e["name"], e["frames"], e["spec"]) for e in manifest["clips"]]
-    except KeyError as exc:
-        raise DataError(f"{manifest_path}: manifest lacks key {exc}") from None
+    entries = read_json(
+        os.path.join(data_dir, "manifest.json"),
+        lambda m: [
+            (e["name"], os.path.join(data_dir, e["name"]), range(e["frames"]), ClipSpec.from_dict(e["spec"]))
+            for e in m["clips"]
+        ],
+    )
     clips = []
-    for name, frames, spec in entries:
-        base = os.path.join(data_dir, name)
+    for name, base, frames, spec in entries:
         samples = []
-        for i in range(frames):
+        for i in frames:
             rgb8 = _read_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), "P6")
             gt8 = _read_pnm(os.path.join(base, "gt", f"{i:04d}.pgm"), "P5")
             depth8 = _read_pnm(os.path.join(base, "depth", f"{i:04d}.pgm"), "P5")
@@ -522,7 +509,7 @@ def read_dataset(data_dir):
                     gt=(gt8[None] == 255).astype(np.float64),
                 )
             )
-        clips.append(Clip(name=name, spec=ClipSpec.from_dict(spec), samples=samples))
+        clips.append(Clip(name=name, spec=spec, samples=samples))
     return clips
 
 

@@ -13,12 +13,11 @@ Conventions, fixed here and mirrored by the test oracles:
 """
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, ShapeError, reject_unknown_keys
+from .errors import ConfigError, ContractError, NumericalError, ShapeError, reject_unknown_keys, write_json
 
 
 @dataclass
@@ -157,14 +156,7 @@ class MetricsReport:
                 w.writerow([name, f"{row['s_measure']:.6f}", f"{row['max_f']:.6f}", f"{row['mae']:.6f}"])
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(
-                {"aggregate": self.aggregate, "per_sequence": self.per_sequence},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        write_json(path, {"aggregate": self.aggregate, "per_sequence": self.per_sequence})
 
 
 def evaluate_sequences(sequences, cfg=None):

@@ -7,7 +7,7 @@ refinement fusion, and decodes coarse-to-fine with a side output at every
 level. Ablation variants rewire exactly one of those stages at build time.
 """
 
-import json
+import contextlib
 import os
 from dataclasses import asdict, dataclass
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import BConv, Conv2d, Encoder, Module, ModuleList
-from .errors import ConfigError, ContractError, NumericalError, reject_unknown_keys
+from .errors import ConfigError, ContractError, DataError, NumericalError, read_json, reject_unknown_keys, write_json
 from .fusion import ConcatFuse, CrossModalAttention, RefinementFusion, SelfAttention
 from .tensor import Tensor
 
@@ -332,29 +332,33 @@ def predict(model, rgb, depth, flow):
 
 
 def save_checkpoint(path, model, step=0):
-    os.makedirs(path, exist_ok=True)
+    """Write one file per tensor, then the manifest; a save cut short leaves none."""
     tensor_dir = os.path.join(path, "tensors")
     os.makedirs(tensor_dir, exist_ok=True)
-    names = sorted(model.state_dict())
+    manifest = os.path.join(path, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest)
     state = model.state_dict()
+    names = sorted(state)
     for name in names:
         T.save_tensor(os.path.join(tensor_dir, name + ".bin"), state[name])
-    manifest = {"config": asdict(model.config), "step": step, "tensors": names}
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, {"config": asdict(model.config), "step": step, "tensors": names})
 
 
 def load_checkpoint(path):
-    manifest_path = os.path.join(path, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise ConfigError(f"no checkpoint manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    config = ModelConfig.from_dict(manifest["config"])
+    manifest = os.path.join(path, "manifest.json")
+    config, step, files = read_json(
+        manifest,
+        lambda m: (
+            ModelConfig.from_dict(m["config"]),
+            int(m["step"]),
+            {name: os.path.join(path, "tensors", name + ".bin") for name in m["tensors"]},
+        ),
+    )
     model = build(config)
-    state = {
-        name: T.load_tensor(os.path.join(path, "tensors", name + ".bin")) for name in manifest["tensors"]
-    }
-    model.load_state_dict(state)
-    return model, int(manifest["step"])
+    state = {name: T.load_tensor(f) for name, f in files.items()}
+    try:
+        model.load_state_dict(state)
+    except ConfigError as exc:  # the manifest's tensors do not fit its own config
+        raise DataError(f"{manifest}: {exc}") from None
+    return model, step

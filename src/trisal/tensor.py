@@ -1,10 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Everything is numpy underneath; the tape only stores enough to replay the
-computation backwards. Ops are module-level functions (plus operator sugar on
-``Tensor``). Recording happens when a ``Tape`` is active *and* at least one
-input requires gradients; without an active tape the same functions run as
-plain forward numerics, which is what evaluation and finite differencing use.
+computation backwards. Ops are module-level functions. Recording happens when
+a ``Tape`` is active *and* at least one input requires gradients; without an
+active tape the same functions run as plain forward numerics, which is what
+evaluation and finite differencing use.
 """
 
 import json
@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import ContractError, DataError, NumericalError, ShapeError
+from .errors import ContractError, DataError, NumericalError, ShapeError, read_bytes
 
 _TAPES = []  # innermost active tape last
 
@@ -57,34 +57,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _wrap(x):
@@ -616,14 +588,12 @@ def save_tensor(path, t):
 
 
 def load_tensor(path):
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        try:
-            shape = tuple(json.loads(header)["shape"])
-        except (ValueError, KeyError) as exc:
-            raise DataError(f"{path}: bad tensor header at byte 0: {exc}") from None
-        raw = fh.read()
+    header, _, raw = read_bytes(path).partition(b"\n")
+    try:
+        shape = tuple(json.loads(header)["shape"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: bad tensor header at byte 0: {exc}") from None
     expected = int(np.prod(shape, dtype=np.int64)) * 8
     if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} payload bytes after byte {len(header)}, got {len(raw)}")
+        raise DataError(f"{path}: expected {expected} payload bytes after byte {len(header) + 1}, got {len(raw)}")
     return Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))

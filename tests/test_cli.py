@@ -196,6 +196,97 @@ def test_damaged_dataset_exits_3(four_frame_data, tmp_path, name, damage, named)
     assert named in lines[0]
 
 
+def _edit_json(edit):
+    def damage(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
+    return damage
+
+
+def _write_text(text):
+    def damage(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+
+    return damage
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:-8])
+
+
+def _first_tensor(ck):
+    with open(os.path.join(ck, "manifest.json")) as fh:
+        return os.path.join(ck, "tensors", json.load(fh)["tensors"][0] + ".bin")
+
+
+def _ck_manifest(data, ck, pred):
+    return os.path.join(ck, "manifest.json")
+
+
+def _data_manifest(data, ck, pred):
+    return os.path.join(data, "manifest.json")
+
+
+# name: (the file to damage, from the dataset, checkpoint and prediction
+# directories; the damage). The ERROR DATA line has to name that file.
+FILE_FAULTS = {
+    "checkpoint_tensor_deleted": (lambda d, ck, p: _first_tensor(ck), os.remove),
+    "checkpoint_manifest_without_step": (_ck_manifest, _edit_json(lambda doc: doc.pop("step"))),
+    "checkpoint_manifest_without_tensors": (_ck_manifest, _edit_json(lambda doc: doc.pop("tensors"))),
+    "checkpoint_manifest_malformed": (_ck_manifest, _write_text("{bad")),
+    "checkpoint_tensors_list_short": (_ck_manifest, _edit_json(lambda doc: doc["tensors"].pop(0))),
+    "checkpoint_dir_missing": (lambda d, ck, p: ck, shutil.rmtree),
+    "dataset_clips_not_a_list": (_data_manifest, _write_text('{"clips": 5}')),
+    "dataset_root_not_an_object": (_data_manifest, _write_text("[1, 2]")),
+    "dataset_frames_not_a_number": (_data_manifest, _edit_json(lambda doc: doc["clips"][0].update(frames="two"))),
+    "dataset_spec_unknown_key": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(sede=1))),
+    "dataset_spec_too_small": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(size=8))),
+    "checkpoint_tensor_truncated": (lambda d, ck, p: _first_tensor(ck), _truncate),
+    "prediction_map_missing": (lambda d, ck, p: os.path.join(p, "clip00", "0001.pgm"), os.remove),
+}
+
+
+@pytest.fixture(scope="module")
+def one_step_run(tmp_path_factory):
+    """A 2-frame dataset, a 32 px checkpoint trained one step, and its predictions."""
+    root = tmp_path_factory.mktemp("file_faults")
+    run = {**TINY_RUN, "model": {**TINY_RUN["model"], "steps": 1}, "clips": [{**TINY_RUN["clips"][0], "frames": 2}]}
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps(run))
+    data, train, pred = str(root / "data"), str(root / "train"), str(root / "pred")
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", data]) == 0
+    assert cli.main(["train", "--config", str(cfg), "--data", data, "--out", train]) == 0
+    ck = os.path.join(train, "checkpoint")
+    assert cli.main(["predict", "--config", str(cfg), "--data", data, "--checkpoint", ck, "--out", pred]) == 0
+    return {"cfg": str(cfg), "data": data, "ck": ck, "pred": os.path.join(pred, "pred")}
+
+
+@pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
+def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
+    data, ck, pred = (str(tmp_path / name) for name in ("data", "ck", "pred"))
+    for src, dst in ((one_step_run["data"], data), (one_step_run["ck"], ck), (one_step_run["pred"], pred)):
+        shutil.copytree(src, dst)
+    target, damage = FILE_FAULTS[fault]
+    named = target(data, ck, pred)
+    damage(named)
+    source = ["--pred-dir", pred] if fault.startswith("prediction") else ["--checkpoint", ck]
+    capsys.readouterr()
+    code = cli.main(["eval", "--config", one_step_run["cfg"], "--data", data, *source, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
+    assert named in lines[0]
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

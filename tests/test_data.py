@@ -239,6 +239,32 @@ def test_missing_manifest_is_data_error(tmp_path):
         D.read_dataset(tmp_path)
 
 
+def test_truncated_manifest_is_data_error(tmp_path):
+    D.write_dataset(D.build_dataset([D.ClipSpec(seed=73, frames=1, size=32)]), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        if whole[:cut].strip() == whole.strip():
+            continue
+        path.write_bytes(whole[:cut])
+        with pytest.raises(DataError):
+            D.read_dataset(tmp_path / "ds")
+
+
+def test_interrupted_dataset_write_is_not_readable(tmp_path, monkeypatch):
+    D.write_dataset(D.build_dataset([D.ClipSpec(seed=74, frames=2, size=32)]), tmp_path / "ds")
+    clips = D.build_dataset([D.ClipSpec(seed=75, frames=2, size=32)])
+
+    def failing_write_flo(path, flow):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(D, "write_flo", failing_write_flo)
+    with pytest.raises(OSError, match="disk full"):
+        D.write_dataset(clips, tmp_path / "ds")
+    with pytest.raises(DataError, match="manifest.json"):
+        D.read_dataset(tmp_path / "ds")
+
+
 def test_flo_format_layout(tmp_path):
     flow = np.zeros((2, 2, 3), dtype=np.float64)
     flow[0, 0, 1] = 1.5

@@ -10,7 +10,7 @@ import pytest
 
 from trisal import model as M
 from trisal import tensor as T
-from trisal.errors import ConfigError, ContractError
+from trisal.errors import ConfigError, ContractError, DataError
 from trisal.tensor import Tensor
 
 
@@ -322,6 +322,38 @@ def test_checkpoint_roundtrip(tmp_path):
     assert s1.keys() == s2.keys()
     for k in s1:
         assert s1[k].data.tobytes() == s2[k].data.tobytes(), k
+
+
+def test_interrupted_checkpoint_save_is_not_loadable(tmp_path, monkeypatch):
+    old, new = M.build(small_config(seed=1)), M.build(small_config(seed=2))
+    M.save_checkpoint(tmp_path / "ck", old, step=1)
+    calls = []
+    real_save = T.save_tensor
+
+    def failing_save(path, t):
+        calls.append(path)
+        if len(calls) == 11:
+            raise OSError("disk full")
+        real_save(path, t)
+
+    monkeypatch.setattr(T, "save_tensor", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        M.save_checkpoint(tmp_path / "ck", new, step=2)
+    with pytest.raises(DataError, match="manifest.json"):
+        M.load_checkpoint(tmp_path / "ck")
+    assert not list((tmp_path / "ck").glob("*.tmp"))
+
+
+def test_truncated_checkpoint_manifest_is_data_error(tmp_path):
+    M.save_checkpoint(tmp_path / "ck", M.build(small_config()), step=3)
+    path = tmp_path / "ck" / "manifest.json"
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        if whole[:cut].strip() == whole.strip():
+            continue
+        path.write_bytes(whole[:cut])
+        with pytest.raises(DataError):
+            M.load_checkpoint(tmp_path / "ck")
 
 
 def test_predict_shape_and_range():
