@@ -246,9 +246,5 @@ def main(argv=None):
         return 4
 
 
-def run():
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

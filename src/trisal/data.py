@@ -12,7 +12,8 @@ floats at generation time, making disk round-trips bit-identical.
 import contextlib
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,22 +63,15 @@ class TrimodalSample:
     flow: np.ndarray  # (2, H, W) pixel displacements (u right, v down)
     gt: np.ndarray  # (1, H, W) binary {0, 1}
 
-    _depth3: np.ndarray = field(default=None, repr=False)
-    _flow3: np.ndarray = field(default=None, repr=False)
-
-    @property
+    @cached_property
     def depth3(self):
         """Depth replicated to three channels for the shared encoder stem."""
-        if self._depth3 is None:
-            self._depth3 = np.repeat(self.depth, 3, axis=0)
-        return self._depth3
+        return np.repeat(self.depth, 3, axis=0)
 
-    @property
+    @cached_property
     def flow3(self):
         """Flow rendered to a three-channel color image for the flow stream."""
-        if self._flow3 is None:
-            self._flow3 = flow_to_color(self.flow)
-        return self._flow3
+        return flow_to_color(self.flow)
 
 
 @dataclass

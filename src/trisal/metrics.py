@@ -13,7 +13,7 @@ Conventions, fixed here and mirrored by the test oracles:
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,8 +144,6 @@ def s_measure(pred, gt, cfg=None):
 class MetricsReport:
     per_sequence: dict  # name -> {"s_measure", "max_f", "mae", "frames"}
     aggregate: dict  # {"s_measure", "max_f", "mae", "sequences"}
-    precision: dict = field(default_factory=dict)  # name -> mean curve
-    recall: dict = field(default_factory=dict)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -167,25 +165,18 @@ def evaluate_sequences(sequences, cfg=None):
     """
     cfg = cfg or MetricsConfig()
     per_sequence = {}
-    precision, recall = {}, {}
     for name, frames in sequences:
         if not frames:
             raise ContractError(f"sequence {name!r} has no frames")
         if name in per_sequence:
             raise ContractError(f"duplicate sequence name {name!r}")
         vals = {"mae": [], "max_f": [], "s_measure": []}
-        curves_p, curves_r = [], []
         for pred, gt in frames:
             vals["mae"].append(mae(pred, gt))
-            f, p, r = max_f_measure(pred, gt, cfg)
-            vals["max_f"].append(f)
-            curves_p.append(p)
-            curves_r.append(r)
+            vals["max_f"].append(max_f_measure(pred, gt, cfg)[0])
             vals["s_measure"].append(s_measure(pred, gt, cfg))
         per_sequence[name] = {k: float(np.mean(v)) for k, v in vals.items()}
         per_sequence[name]["frames"] = len(frames)
-        precision[name] = np.mean(curves_p, axis=0)
-        recall[name] = np.mean(curves_r, axis=0)
     if not per_sequence:
         raise ContractError("no sequences to evaluate")
     names = sorted(per_sequence)
@@ -193,4 +184,4 @@ def evaluate_sequences(sequences, cfg=None):
         k: float(np.mean([per_sequence[n][k] for n in names])) for k in ("s_measure", "max_f", "mae")
     }
     aggregate["sequences"] = len(names)
-    return MetricsReport(per_sequence=per_sequence, aggregate=aggregate, precision=precision, recall=recall)
+    return MetricsReport(per_sequence=per_sequence, aggregate=aggregate)

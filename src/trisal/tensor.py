@@ -8,21 +8,14 @@ evaluation and finite differencing use.
 """
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
 
-from .errors import ContractError, DataError, NumericalError, ShapeError, read_bytes
+from .errors import ContractError, DataError, ShapeError, read_bytes
 
 _TAPES = []  # innermost active tape last
-
-_NAN_CHECKS = False
-
-
-def set_nan_checks(enabled):
-    """Globally toggle per-op finiteness assertions on forward outputs."""
-    global _NAN_CHECKS
-    _NAN_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -43,10 +36,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def zero_grad(self):
         if self.grad is not None:
@@ -142,10 +131,6 @@ class Tape:
                     t.grad += gi
 
 
-def _active_tape():
-    return _TAPES[-1] if _TAPES else None
-
-
 def backward(loss):
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``."""
     if not isinstance(loss, Tensor) or loss.tape is None:
@@ -154,13 +139,10 @@ def backward(loss):
 
 
 def _make(name, out_data, inputs, backward_fn):
-    if _NAN_CHECKS and not np.all(np.isfinite(out_data)):
-        raise NumericalError(f"non-finite output of op '{name}'")
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(name, tuple(inputs), out, backward_fn)
+    if _TAPES and out.requires_grad:
+        _TAPES[-1].record(name, tuple(inputs), out, backward_fn)
     return out
 
 
@@ -177,64 +159,41 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _check_broadcast(name, a, b):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not align") from None
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 
 
-def add(a, b):
+def _binary(name, a, b, f, grads):
+    """Broadcasting elementwise op: ``f(x, y)`` forward; ``grads(g, x, y)``
+    gives both gradients at the output shape, summed back to each operand's."""
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("add", a, b)
-    out = a.data + b.data
+    ad, bd = a.data, b.data
+    try:
+        np.broadcast_shapes(ad.shape, bd.shape)
+    except ValueError:
+        raise ShapeError(f"{name}: shapes {ad.shape} and {bd.shape} do not align") from None
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        ga, gb = grads(g, ad, bd)
+        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
-    return _make("add", out, (a, b), bwd)
+    return _make(name, f(ad, bd), (a, b), bwd)
+
+
+def add(a, b):
+    return _binary("add", a, b, np.add, lambda g, x, y: (g, g))
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _check_broadcast("sub", a, b)
-    out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make("sub", out, (a, b), bwd)
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _check_broadcast("mul", a, b)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _make("mul", out, (a, b), bwd)
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
 
 def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-    _check_broadcast("div", a, b)
-    out = a.data / b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return (
-            _unbroadcast(g / bd, ad.shape),
-            _unbroadcast(-g * ad / (bd * bd), bd.shape),
-        )
-
-    return _make("div", out, (a, b), bwd)
+    return _binary("div", a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 def relu(x):
@@ -420,12 +379,17 @@ def conv2d(x, w, bias, stride=1, dilation=1, padding=0):
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
+    # Kernel tap (i, j) reads the strided window of xp at offset (i, j) * dilation;
+    # the im2col fill and the backward scatter both walk this one list.
+    offsets = [i * dilation for i in range(k)]
+    taps = [
+        (i, j, np.s_[:, :, hi : hi + stride * out_h : stride, wj : wj + stride * out_w : stride])
+        for i, hi in enumerate(offsets)
+        for j, wj in enumerate(offsets)
+    ]
     cols = np.empty((b_, c, k, k, out_h, out_w), dtype=np.float64)
-    for i in range(k):
-        hi = i * dilation
-        for j in range(k):
-            wj = j * dilation
-            cols[:, :, i, j] = xp[:, :, hi : hi + stride * out_h : stride, wj : wj + stride * out_w : stride]
+    for i, j, window in taps:
+        cols[:, :, i, j] = xp[window]
     cols_m = cols.reshape(b_, c * k * k, out_h * out_w)
     out = np.matmul(wd.reshape(o, c * k * k), cols_m).reshape(b_, o, out_h, out_w)
     out += bias.data[None, :, None, None]
@@ -436,11 +400,8 @@ def conv2d(x, w, bias, stride=1, dilation=1, padding=0):
         db = g.sum(axis=(0, 2, 3))
         dcols = np.matmul(wd.reshape(o, c * k * k).T, gl).reshape(b_, c, k, k, out_h, out_w)
         gxp = np.zeros_like(xp)
-        for i in range(k):
-            hi = i * dilation
-            for j in range(k):
-                wj = j * dilation
-                gxp[:, :, hi : hi + stride * out_h : stride, wj : wj + stride * out_w : stride] += dcols[:, :, i, j]
+        for i, j, window in taps:
+            gxp[window] += dcols[:, :, i, j]
         dx = gxp[:, :, padding : padding + h, padding : padding + wid] if padding else gxp
         return dx, dw, db
 
@@ -546,12 +507,28 @@ def broadcast_hw(x, h, w):
 # verification
 
 
+def central_difference(f, flat, i, step):
+    """Central difference of the scalar ``f()`` in coordinate ``i`` of ``flat``,
+    a writable flat view of what ``f`` reads; ``flat[i]`` is restored after."""
+    orig = flat[i]
+    flat[i] = orig + step
+    fp = float(f().data)
+    flat[i] = orig - step
+    fm = float(f().data)
+    flat[i] = orig
+    return (fp - fm) / (2.0 * step)
+
+
+def relative_error(analytic, numeric):
+    """|analytic - numeric| / max(1, |analytic|, |numeric|), elementwise."""
+    return np.abs(analytic - numeric) / np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+
+
 def grad_check(f, x, step=1e-5):
     """Max relative error between tape gradients and central differences.
 
     ``f`` maps a Tensor to a scalar Tensor and must be smooth at ``x`` (keep
-    inputs away from relu and clamp kinks). The error per coordinate is
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    inputs away from relu and clamp kinks).
     """
     if x.grad is None:
         x.requires_grad = True
@@ -560,20 +537,9 @@ def grad_check(f, x, step=1e-5):
     with Tape():
         y = f(x)
         y.backward()
-    analytic = x.grad.copy()
-    numeric = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = float(f(x).data)
-        flat[i] = orig - step
-        fm = float(f(x).data)
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * step)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    numeric = [central_difference(lambda: f(x), flat, i, step) for i in range(flat.size)]
+    return float(np.max(relative_error(x.grad.reshape(-1), np.array(numeric))))
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +557,11 @@ def load_tensor(path):
     header, _, raw = read_bytes(path).partition(b"\n")
     try:
         shape = tuple(json.loads(header)["shape"])
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"shape {list(shape)} is not a list of non-negative integers")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: bad tensor header at byte 0: {exc}") from None
-    expected = int(np.prod(shape, dtype=np.int64)) * 8
+    expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes after byte {len(header) + 1}, got {len(raw)}")
     return Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))

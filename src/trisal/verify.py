@@ -147,24 +147,15 @@ def model_checks(n_coords=24, seed=70):
     with T.Tape():
         loss_value().backward()
 
-    params = list(model.named_parameters())
+    params = list(model.parameters())
     picks = rng.integers(0, len(params), size=n_coords)
-    step = 1e-5
     worst = 0.0
     for pi in picks:
-        name, p = params[pi]
+        p = params[pi]
         flat = p.data.reshape(-1)
         ci = int(rng.integers(0, flat.size))
-        analytic = p.grad.reshape(-1)[ci]
-        orig = flat[ci]
-        flat[ci] = orig + step
-        fp = float(loss_value().data)
-        flat[ci] = orig - step
-        fm = float(loss_value().data)
-        flat[ci] = orig
-        numeric = (fp - fm) / (2 * step)
-        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-        worst = max(worst, err)
+        numeric = T.central_difference(loss_value, flat, ci, 1e-5)
+        worst = max(worst, float(T.relative_error(p.grad.reshape(-1)[ci], numeric)))
     return [("model_loss_sampled_coords", worst, 1e-4)]
 
 

@@ -222,6 +222,16 @@ def _truncate(path):
         fh.write(raw[:-8])
 
 
+def _tensor_header(text):
+    def damage(path):
+        with open(path, "rb") as fh:
+            payload = fh.read().partition(b"\n")[2]
+        with open(path, "wb") as fh:
+            fh.write(text.encode() + b"\n" + payload)
+
+    return damage
+
+
 def _first_tensor(ck):
     with open(os.path.join(ck, "manifest.json")) as fh:
         return os.path.join(ck, "tensors", json.load(fh)["tensors"][0] + ".bin")
@@ -250,6 +260,8 @@ FILE_FAULTS = {
     "dataset_spec_unknown_key": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(sede=1))),
     "dataset_spec_too_small": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(size=8))),
     "checkpoint_tensor_truncated": (lambda d, ck, p: _first_tensor(ck), _truncate),
+    # the first tensor holds 8 values, so the header's product of dimensions fits its payload
+    "checkpoint_tensor_negative_dims": (lambda d, ck, p: _first_tensor(ck), _tensor_header('{"shape": [-1, -8]}')),
     "prediction_map_missing": (lambda d, ck, p: os.path.join(p, "clip00", "0001.pgm"), os.remove),
 }
 

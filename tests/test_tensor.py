@@ -1,8 +1,12 @@
 """Unit tests for the autodiff engine: hand cases plus finite-difference oracles."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisal import tensor as T
 from trisal.errors import ContractError, DataError, ShapeError
@@ -295,10 +299,54 @@ def test_op_gradients(name, build):
     assert T.grad_check(f, x) <= 1e-5
 
 
-def test_broadcast_gradient_unbroadcasts():
-    x = rand(1, 3, 1, 1, seed=31)
-    y = T.Tensor(np.random.default_rng(32).uniform(-1, 1, (2, 3, 4, 4)))
-    assert T.grad_check(lambda t: T.sum_all(T.mul(t, y)), x) <= 1e-6
+BINARY_OPS = {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div}
+# (side of the broadcast operand, its shape); the other operand is (2, 3, 4, 4)
+BROADCAST_CASES = {
+    "left_1c11": ("left", (1, 3, 1, 1)),
+    "right_1c11": ("right", (1, 3, 1, 1)),
+    "right_0d": ("right", ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROADCAST_CASES))
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+def test_broadcast_gradient_unbroadcasts(op, case):
+    side, shape = BROADCAST_CASES[case]
+    # Both operands in [0.5, 1.5], so div's denominator stays away from 0.
+    x = rand(*shape, seed=31, lo=0.5, hi=1.5)
+    y = T.Tensor(np.random.default_rng(32).uniform(0.5, 1.5, (2, 3, 4, 4)))
+    v = T.Tensor(np.random.default_rng(33).uniform(-1, 1, (2, 3, 4, 4)))
+    f = BINARY_OPS[op]
+
+    def loss(t):
+        out = f(t, y) if side == "left" else f(y, t)
+        assert out.shape == (2, 3, 4, 4)
+        return T.sum_all(T.mul(out, v))
+
+    assert T.grad_check(loss, x) <= 1e-6
+
+
+@st.composite
+def broadcast_shapes(draw):
+    """(small, full): a shape of rank <= 4 with sides <= 4, and one it broadcasts to."""
+    full = draw(st.lists(st.integers(1, 4), max_size=4))
+    rank = draw(st.integers(0, len(full)))
+    ones = draw(st.lists(st.booleans(), min_size=rank, max_size=rank))
+    small = [1 if one else n for one, n in zip(ones, full[len(full) - rank :])]
+    return tuple(small), tuple(full)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(broadcast_shapes(), st.integers(0, 2**32 - 1))
+def test_unbroadcast_is_adjoint_of_broadcast(shapes, seed):
+    small, full = shapes
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=small)
+    g = rng.normal(size=full)
+    back = T._unbroadcast(g, small)
+    assert np.shape(back) == small
+    terms = np.broadcast_to(x, full) * g
+    assert abs(terms.sum() - np.sum(x * back)) <= 1e-12 * np.abs(terms).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +477,20 @@ def test_tensor_load_truncated(tmp_path):
         T.load_tensor(p)
 
 
-def test_tensor_load_bad_header(tmp_path):
+# Each header sits over a 64-byte payload: eight float64s, which is what the
+# product of the integer, negative and bool shapes asks for.
+BAD_HEADERS = {
+    "not_json": b"not json",
+    "string_dim": b'{"shape": ["a"]}',
+    "two_negative_dims": b'{"shape": [-1, -8]}',
+    "bool_dim": b'{"shape": [true, 8]}',
+    "float_dims": b'{"shape": [2.5, 3.2]}',
+}
+
+
+@pytest.mark.parametrize("header", sorted(BAD_HEADERS))
+def test_tensor_load_bad_header(tmp_path, header):
     p = tmp_path / "t.bin"
-    p.write_bytes(b"not json\n" + b"\x00" * 8)
-    with pytest.raises(DataError):
+    p.write_bytes(BAD_HEADERS[header] + b"\n" + b"\x00" * 64)
+    with pytest.raises(DataError, match=re.escape(str(p))):
         T.load_tensor(p)
-
-
-def test_nan_checks_flag():
-    T.set_nan_checks(True)
-    try:
-        with pytest.raises(Exception), np.errstate(invalid="ignore"):
-            T.log(T.Tensor([-1.0]))
-    finally:
-        T.set_nan_checks(False)
