@@ -92,17 +92,19 @@ def cmd_train(args):
     return 0
 
 
-def _eval_report(args, cfg, clips):
+def _eval_report(args, cfg):
+    data_dir = args.data or cfg.data_dir
     if args.pred_dir:
+        # the maps are scored against the masks alone
         sequences = []
-        for clip in clips:
+        for name, masks in D.read_masks(data_dir):
             frames = []
-            for i, s in enumerate(clip.samples):
-                p = os.path.join(args.pred_dir, clip.name, f"{i:04d}.pgm")
-                pred = _read_pnm(p, "P5").astype(np.float64) / 255.0
-                frames.append((pred, s.gt[0]))
-            sequences.append((clip.name, frames))
+            for i, gt in enumerate(masks):
+                p = os.path.join(args.pred_dir, name, f"{i:04d}.pgm")
+                frames.append((_read_pnm(p, "P5").astype(np.float64) / 255.0, gt))
+            sequences.append((name, frames))
     else:
+        clips = D.read_dataset(data_dir)
         model, _ = M.load_checkpoint(args.checkpoint)
         sequences = _sequences_from_model(model, clips)
     return MT.evaluate_sequences(sequences, cfg.metrics)
@@ -113,8 +115,7 @@ def cmd_eval(args):
         raise ConfigError("eval needs --checkpoint or --pred-dir")
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
-    clips = D.read_dataset(args.data or cfg.data_dir)
-    report = _eval_report(args, cfg, clips)
+    report = _eval_report(args, cfg)
     os.makedirs(out, exist_ok=True)
     report.write_csv(os.path.join(out, "report.csv"))
     report.write_json(os.path.join(out, "report.json"))

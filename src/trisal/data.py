@@ -476,35 +476,51 @@ def write_dataset(clips, out_dir):
     write_json(manifest, {"clips": entries})
 
 
-def read_dataset(data_dir):
-    entries = read_json(
+def _read_manifest(data_dir):
+    """(name, clip directory, frame indices, spec) for each manifest entry."""
+    return read_json(
         os.path.join(data_dir, "manifest.json"),
         lambda m: [
             (e["name"], os.path.join(data_dir, e["name"]), range(e["frames"]), ClipSpec.from_dict(e["spec"]))
             for e in m["clips"]
         ],
     )
+
+
+def _read_mask(base, i):
+    """Frame ``i``'s mask as a (1, H, W) binary {0, 1} plane."""
+    gt8 = _read_pnm(os.path.join(base, "gt", f"{i:04d}.pgm"), "P5")
+    if np.count_nonzero((gt8 != 0) & (gt8 != 255)):
+        bad = np.setdiff1d(np.unique(gt8), [0, 255])
+        raise DataError(f"{base}/gt/{i:04d}.pgm: non-binary values {bad.tolist()}")
+    return (gt8[None] == 255).astype(np.float64)
+
+
+def read_dataset(data_dir):
     clips = []
-    for name, base, frames, spec in entries:
+    for name, base, frames, spec in _read_manifest(data_dir):
         samples = []
         for i in frames:
             rgb8 = _read_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), "P6")
-            gt8 = _read_pnm(os.path.join(base, "gt", f"{i:04d}.pgm"), "P5")
+            gt = _read_mask(base, i)
             depth8 = _read_pnm(os.path.join(base, "depth", f"{i:04d}.pgm"), "P5")
             flow = read_flo(os.path.join(base, "flow", f"{i:04d}.flo"))
-            bad = np.setdiff1d(np.unique(gt8), [0, 255])
-            if bad.size:
-                raise DataError(f"{base}/gt/{i:04d}.pgm: non-binary values {bad.tolist()}")
             samples.append(
                 TrimodalSample(
                     rgb=rgb8.transpose(2, 0, 1).astype(np.float64) / 255.0,
                     depth=depth8[None].astype(np.float64) / 255.0,
                     flow=flow,
-                    gt=(gt8[None] == 255).astype(np.float64),
+                    gt=gt,
                 )
             )
         clips.append(Clip(name=name, spec=spec, samples=samples))
     return clips
+
+
+def read_masks(data_dir):
+    """(name, [(H, W) binary mask per frame]) for each clip: the manifest and
+    the masks only, without decoding RGB, depth or flow."""
+    return [(name, [_read_mask(base, i)[0] for i in frames]) for name, base, frames, _ in _read_manifest(data_dir)]
 
 
 def build_dataset(specs, names=None):

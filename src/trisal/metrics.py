@@ -62,17 +62,25 @@ def mae(pred, gt):
     return float(np.abs(pred - gt).mean())
 
 
+def _count_above(values, ts):
+    """Number of ``values`` strictly greater than each threshold in ``ts``."""
+    return (values.size - np.searchsorted(np.sort(values), ts, side="right")).astype(np.float64)
+
+
 def max_f_measure(pred, gt, cfg=None):
-    """(max F over thresholds, per-threshold precision, per-threshold recall)."""
+    """(max F over thresholds, per-threshold precision, per-threshold recall).
+
+    The per-threshold pixel counts come from the sorted values, in
+    O(N log N + T log N); they are exact integers.
+    """
     cfg = cfg or MetricsConfig()
     pred, gt = _check_pair(pred, gt)
     pred = pred.reshape(-1)
-    gt = gt.reshape(-1)
-    n_fg = gt.sum()
+    fg = gt.reshape(-1) == 1.0
+    n_fg = float(np.count_nonzero(fg))
     ts = np.arange(cfg.thresholds) / cfg.thresholds
-    binary = pred[None, :] > ts[:, None]
-    tp = (binary & (gt == 1.0)[None, :]).sum(axis=1).astype(np.float64)
-    pp = binary.sum(axis=1).astype(np.float64)
+    tp = _count_above(pred[fg], ts)
+    pp = _count_above(pred, ts)
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(pp > 0, tp / pp, 0.0)
         recall = np.where(n_fg > 0, tp / max(n_fg, 1.0), 0.0)

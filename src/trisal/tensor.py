@@ -509,7 +509,8 @@ def broadcast_hw(x, h, w):
 
 def central_difference(f, flat, i, step):
     """Central difference of the scalar ``f()`` in coordinate ``i`` of ``flat``,
-    a writable flat view of what ``f`` reads; ``flat[i]`` is restored after."""
+    a writable flat view (or ``ndarray.flat``) of what ``f`` reads; ``flat[i]``
+    is restored after."""
     orig = flat[i]
     flat[i] = orig + step
     fp = float(f().data)
@@ -537,8 +538,8 @@ def grad_check(f, x, step=1e-5):
     with Tape():
         y = f(x)
         y.backward()
-    flat = x.data.reshape(-1)
-    numeric = [central_difference(lambda: f(x), flat, i, step) for i in range(flat.size)]
+    flat = x.data.flat  # writes through to x.data, contiguous or not
+    numeric = [central_difference(lambda: f(x), flat, i, step) for i in range(x.data.size)]
     return float(np.max(relative_error(x.grad.reshape(-1), np.array(numeric))))
 
 
@@ -564,4 +565,8 @@ def load_tensor(path):
     expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes after byte {len(header) + 1}, got {len(raw)}")
-    return Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+    try:
+        data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    except ValueError as exc:  # a zero dimension lets a shape numpy cannot hold pass the byte count
+        raise DataError(f"{path}: bad tensor header at byte 0: {exc}") from None
+    return Tensor(data.astype(np.float64))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trisal import cli
-from trisal.data import _read_pnm
+from trisal.data import _read_pnm, _write_pnm
 
 TINY_RUN = {
     "model": {
@@ -196,6 +196,27 @@ def test_damaged_dataset_exits_3(four_frame_data, tmp_path, name, damage, named)
     assert named in lines[0]
 
 
+def test_non_binary_mask_exits_3(four_frame_data, tmp_path, capsys):
+    data, pred = tmp_path / "data", tmp_path / "pred"
+    shutil.copytree(four_frame_data, data)
+    shutil.copytree(data / "clip00" / "gt", pred / "clip00")
+    gt_path = str(data / "clip00" / "gt" / "0002.pgm")
+    mask = _read_pnm(gt_path, "P5").copy()
+    mask[5, 7] = 128
+    _write_pnm(gt_path, mask, "P5")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(TINY_RUN))
+    common = ["--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "o")]
+    for argv in (["train", *common], ["eval", "--pred-dir", str(pred), *common]):
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3, (argv[0], err)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
+        assert gt_path in lines[0] and "[128]" in lines[0], err
+
+
 def _edit_json(edit):
     def damage(path):
         with open(path) as fh:
@@ -297,6 +318,28 @@ def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
     assert named in lines[0]
+
+
+def test_eval_pred_dir_reads_only_masks(one_step_run, tmp_path, capsys):
+    stripped = tmp_path / "stripped"
+    shutil.copytree(one_step_run["data"], stripped)
+    for sub in ("rgb", "depth", "flow"):
+        shutil.rmtree(stripped / "clip00" / sub)
+    common = ["eval", "--config", one_step_run["cfg"]]
+    scored = {}
+    for name, data in (("intact", one_step_run["data"]), ("stripped", str(stripped))):
+        out = tmp_path / name
+        assert cli.main([*common, "--data", data, "--pred-dir", one_step_run["pred"], "--out", str(out)]) == 0
+        scored[name] = [(out / f).read_bytes() for f in ("report.json", "report.csv")]
+    assert scored["stripped"] == scored["intact"]
+
+    capsys.readouterr()
+    checkpoint = ["--checkpoint", one_step_run["ck"], "--out", str(tmp_path / "ck")]
+    code = cli.main([*common, "--data", str(stripped), *checkpoint])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

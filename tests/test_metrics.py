@@ -6,6 +6,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trisal import metrics as MT
 from trisal.errors import ConfigError, ContractError, NumericalError, ShapeError
@@ -173,6 +176,57 @@ def test_max_f_monotone_in_threshold_count():
             f, _, _ = MT.max_f_measure(pred, gt, MT.MetricsConfig(thresholds=t_count))
             assert f >= prev - 1e-15
             prev = f
+
+
+def brute_force_max_f(pred, gt, thresholds, beta_sq=0.3):
+    """max_f_measure as a T x N boolean matrix: every pixel compared with
+    every threshold, the counts summed along the pixels."""
+    pred = pred.reshape(-1)
+    gt = gt.reshape(-1)
+    n_fg = gt.sum()
+    ts = np.arange(thresholds) / thresholds
+    binary = pred[None, :] > ts[:, None]
+    tp = (binary & (gt == 1.0)[None, :]).sum(axis=1).astype(np.float64)
+    pp = binary.sum(axis=1).astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(pp > 0, tp / pp, 0.0)
+        recall = np.where(n_fg > 0, tp / max(n_fg, 1.0), 0.0)
+        num = (1.0 + beta_sq) * precision * recall
+        den = beta_sq * precision + recall
+        f = np.where(den > 0, num / den, 0.0)
+    return float(f.max()), precision, recall
+
+
+@st.composite
+def tied_maps(draw):
+    """(pred, gt, T): a map up to 16x16 whose values sit on the threshold grid
+    k/T, on the 8-bit grid k/255, or at 0 and 1, so many pixels equal a
+    threshold; the mask may be empty, full or drawn."""
+    t_count = draw(st.sampled_from([2, 32, 255, 256]))
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=16))
+    value = st.one_of(
+        st.integers(0, t_count).map(lambda k: k / t_count),
+        st.integers(0, 255).map(lambda k: k / 255),
+        st.sampled_from([0.0, 1.0]),
+    )
+    pred = draw(hnp.arrays(np.float64, shape, elements=value))
+    mask = draw(st.sampled_from(["empty", "full", "drawn"]))
+    if mask == "drawn":
+        gt = draw(hnp.arrays(np.bool_, shape)).astype(np.float64)
+    else:
+        gt = np.full(shape, 1.0 if mask == "full" else 0.0)
+    return pred, gt, t_count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_maps())
+def test_max_f_exact_on_ties(case):
+    pred, gt, t_count = case
+    f, precision, recall = MT.max_f_measure(pred, gt, MT.MetricsConfig(thresholds=t_count))
+    want_f, want_precision, want_recall = brute_force_max_f(pred, gt, t_count)
+    assert np.array_equal(precision, want_precision)
+    assert np.array_equal(recall, want_recall)
+    assert f == want_f
 
 
 def test_max_f_rejects_out_of_range_prediction():

@@ -411,6 +411,12 @@ def test_grad_check_quadratic():
     assert T.grad_check(lambda t: T.sum_all(T.mul(t, t)), x) <= 1e-8
 
 
+def test_grad_check_non_contiguous_input():
+    x = T.Tensor(np.arange(12.0).reshape(3, 4).T, requires_grad=True)
+    assert not x.data.flags.c_contiguous
+    assert T.grad_check(lambda t: T.sum_all(T.mul(t, t)), x) < 1e-6
+
+
 def test_op_counts_instrumentation():
     x = rand(2, 3, seed=38)
     with T.Tape() as tape:
@@ -492,5 +498,13 @@ BAD_HEADERS = {
 def test_tensor_load_bad_header(tmp_path, header):
     p = tmp_path / "t.bin"
     p.write_bytes(BAD_HEADERS[header] + b"\n" + b"\x00" * 64)
+    with pytest.raises(DataError, match=re.escape(str(p))):
+        T.load_tensor(p)
+
+
+def test_tensor_load_shape_numpy_cannot_hold(tmp_path):
+    # a zero dimension makes the product 0, so the empty payload passes the byte count
+    p = tmp_path / "t.bin"
+    p.write_bytes(b'{"shape": [1099511627776, 1099511627776, 0]}\n')
     with pytest.raises(DataError, match=re.escape(str(p))):
         T.load_tensor(p)
