@@ -1,4 +1,4 @@
-"""Reusable network blocks: conv+BN+relu, channel attention, dilated pyramid
+"""Reusable network blocks: conv+BN(+relu), channel attention, dilated pyramid
 pooling, residual stages, and the five-level encoder stream.
 
 Every block is a ``Module``: parameters and submodules register automatically
@@ -17,6 +17,11 @@ from .tensor import Tensor
 def _uniform_fan_in(rng, shape, fan_in):
     bound = np.sqrt(6.0 / fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+def _some(names, cap=5):
+    """A count and at most ``cap`` of the names, so one error line stays short."""
+    return f"{len(names)} [{', '.join(names[:cap])}{', ...' if len(names) > cap else ''}]"
 
 
 class Module:
@@ -76,7 +81,7 @@ class Module:
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:
-            raise ConfigError(f"state dict mismatch: missing {missing}, unexpected {extra}")
+            raise ConfigError(f"state dict mismatch: missing {_some(missing)}, unexpected {_some(extra)}")
         for name, t in own.items():
             src = state[name]
             data = src.data if isinstance(src, Tensor) else np.asarray(src, dtype=np.float64)
@@ -116,23 +121,21 @@ class ModuleList(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, padding=0):
+    def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, padding=0, bias=True):
         super().__init__()
         self.stride = stride
         self.dilation = dilation
         self.padding = padding
         self.weight = _uniform_fan_in(rng, (out_ch, in_ch, k, k), in_ch * k * k)
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
 
     def forward(self, x):
         return T.conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, ch, eps=1e-5, momentum=0.1):
+    def __init__(self, ch):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(ch), requires_grad=True)
         self.beta = Tensor(np.zeros(ch), requires_grad=True)
         self.register_buffer("running_mean", Tensor(np.zeros(ch)))
@@ -140,23 +143,27 @@ class BatchNorm2d(Module):
 
     def forward(self, x):
         mode = "train" if self.training else "eval"
-        return T.batchnorm2d(
-            x, self.gamma, self.beta, (self.running_mean, self.running_var), mode, self.eps, self.momentum
-        )
+        return T.batchnorm2d(x, self.gamma, self.beta, (self.running_mean, self.running_var), mode)
 
 
-class BConv(Module):
-    """conv -> batchnorm -> relu, stride 1, same-padding by default."""
+class ConvBN(Module):
+    """Same-padded conv -> batchnorm. The conv has no bias: BN subtracts the
+    batch mean in train mode and ``running_mean`` absorbs it in eval mode."""
 
-    def __init__(self, in_ch, out_ch, rng, k=3, dilation=1, padding=None):
+    def __init__(self, in_ch, out_ch, rng, k=3, stride=1, dilation=1):
         super().__init__()
-        if padding is None:
-            padding = dilation * (k - 1) // 2
-        self.conv = Conv2d(in_ch, out_ch, k, rng, stride=1, dilation=dilation, padding=padding)
+        self.conv = Conv2d(in_ch, out_ch, k, rng, stride, dilation, padding=dilation * (k - 1) // 2, bias=False)
         self.bn = BatchNorm2d(out_ch)
 
     def forward(self, x):
-        return T.relu(self.bn(self.conv(x)))
+        return self.bn(self.conv(x))
+
+
+class BConv(ConvBN):
+    """conv -> batchnorm -> relu."""
+
+    def forward(self, x):
+        return T.relu(super().forward(x))
 
 
 class ChannelAttention(Module):
@@ -210,20 +217,13 @@ class BasicBlock(Module):
 
     def __init__(self, in_ch, out_ch, rng, stride=1):
         super().__init__()
-        self.conv1 = Conv2d(in_ch, out_ch, 3, rng, stride=stride, padding=1)
-        self.bn1 = BatchNorm2d(out_ch)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, rng, padding=1)
-        self.bn2 = BatchNorm2d(out_ch)
-        if stride != 1 or in_ch != out_ch:
-            self.proj = Conv2d(in_ch, out_ch, 1, rng, stride=stride)
-            self.proj_bn = BatchNorm2d(out_ch)
-        else:
-            self.proj = None
+        self.conv1 = BConv(in_ch, out_ch, rng, stride=stride)
+        self.conv2 = ConvBN(out_ch, out_ch, rng)
+        self.proj = ConvBN(in_ch, out_ch, rng, k=1, stride=stride) if stride != 1 or in_ch != out_ch else None
 
     def forward(self, x):
-        h = T.relu(self.bn1(self.conv1(x)))
-        h = self.bn2(self.conv2(h))
-        skip = self.proj_bn(self.proj(x)) if self.proj is not None else x
+        h = self.conv2(self.conv1(x))
+        skip = self.proj(x) if self.proj is not None else x
         return T.relu(T.add(h, skip))
 
 
@@ -237,8 +237,7 @@ class Encoder(Module):
 
     def __init__(self, rng, width=16, cp_width=16, in_ch=3):
         super().__init__()
-        self.stem_conv = Conv2d(in_ch, width, 3, rng, stride=2, padding=1)
-        self.stem_bn = BatchNorm2d(width)
+        self.stem = BConv(in_ch, width, rng, stride=2)
         widths = (width, 2 * width, 4 * width, 8 * width)
         stages = []
         prev = width
@@ -256,7 +255,7 @@ class Encoder(Module):
         if h % 32 != 0 or w % 32 != 0:
             raise ConfigError(f"encoder input must have H and W divisible by 32, got {h}x{w}")
         levels = []
-        cur = T.relu(self.stem_bn(self.stem_conv(x)))
+        cur = self.stem(x)
         levels.append(cur)
         for stage in self.stages:
             for block in stage:

@@ -55,7 +55,7 @@ class PairAttention(Module):
             raise ConfigError(f"attention needs an even channel count, got {ch}")
         self.hybrid = BConv(2 * ch, ch, rng)
         self.query = Conv2d(ch, ch // 2, 1, rng)
-        self.key = Conv2d(ch, ch // 2, 1, rng)
+        self.key = Conv2d(ch, ch // 2, 1, rng, bias=False)  # the row softmax cancels a bias
         self.value_main = Conv2d(ch, ch, 1, rng)
         self.value_aux = Conv2d(ch, ch, 1, rng)
         self.out_main = Conv2d(ch, ch, 1, rng)
@@ -113,7 +113,7 @@ class SelfAttention(Module):
         if ch % 2 != 0:
             raise ConfigError(f"attention needs an even channel count, got {ch}")
         self.query = Conv2d(ch, ch // 2, 1, rng)
-        self.key = Conv2d(ch, ch // 2, 1, rng)
+        self.key = Conv2d(ch, ch // 2, 1, rng, bias=False)  # the row softmax cancels a bias
         self.value = Conv2d(ch, ch, 1, rng)
         self.out = Conv2d(ch, ch, 1, rng)
 

@@ -255,7 +255,7 @@ class SGD:
 def is_backbone_param(name):
     """Backbone = encoder stems and residual stages; everything else
     (pyramid, compression, attention, fusion, decoder) trains faster."""
-    return name.startswith("enc_") and (".stem_" in name or ".stages." in name)
+    return name.startswith("enc_") and (".stem." in name or ".stages." in name)
 
 
 def make_optimizer(model, config):

@@ -363,7 +363,7 @@ def softmax_rows(x):
 
 
 def conv2d(x, w, bias, stride=1, dilation=1, padding=0):
-    """Cross-correlation of (B, C, H, W) with (O, C, k, k) plus per-channel bias."""
+    """Cross-correlation of (B, C, H, W) with (O, C, k, k) plus per-channel bias, if not None."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input and kernel, got {xd.shape} and {wd.shape}")
@@ -392,20 +392,20 @@ def conv2d(x, w, bias, stride=1, dilation=1, padding=0):
         cols[:, :, i, j] = xp[window]
     cols_m = cols.reshape(b_, c * k * k, out_h * out_w)
     out = np.matmul(wd.reshape(o, c * k * k), cols_m).reshape(b_, o, out_h, out_w)
-    out += bias.data[None, :, None, None]
+    if bias is not None:
+        out += bias.data[None, :, None, None]
 
     def bwd(g):
         gl = g.reshape(b_, o, out_h * out_w)
         dw = np.tensordot(gl, cols_m, axes=([0, 2], [0, 2])).reshape(o, c, k, k)
-        db = g.sum(axis=(0, 2, 3))
         dcols = np.matmul(wd.reshape(o, c * k * k).T, gl).reshape(b_, c, k, k, out_h, out_w)
         gxp = np.zeros_like(xp)
         for i, j, window in taps:
             gxp[window] += dcols[:, :, i, j]
         dx = gxp[:, :, padding : padding + h, padding : padding + wid] if padding else gxp
-        return dx, dw, db
+        return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 2, 3)))
 
-    return _make("conv2d", out, (x, w, bias), bwd)
+    return _make("conv2d", out, (x, w) if bias is None else (x, w, bias), bwd)
 
 
 def batchnorm2d(x, gamma, beta, running_stats, mode, eps=1e-5, momentum=0.1):

@@ -94,6 +94,7 @@ def test_criterion_4_loss_contract():
     _report("4 loss-contract", f"perfect loss {float(total.data):.2e}, ratios {ratios}")
 
 
+@pytest.mark.slow
 def test_criterion_5_overfit_oracle():
     t0 = time.time()
     clip = D.generate_clip(D.preset_specs("overfit")[0])
@@ -127,6 +128,7 @@ def test_criterion_5_overfit_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_smoke(tmp_path):
     t0 = time.time()
     run = {

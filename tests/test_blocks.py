@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trisal import blocks as B
 from trisal import tensor as T
@@ -50,6 +52,33 @@ def test_bconv_gradient_eval_mode():
     # outputs stay strictly one-signed; shift the input to keep pre-relu clear.
     x.data += 2.0
     assert T.grad_check(lambda t: T.sum_all(T.mul(blk(t), v)), x) <= 1e-4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([1, 3]),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_convbn_train_output_ignores_conv_bias(b, c_in, c_out, h, w, k, stride, dilation, seed):
+    # Why ConvBN's conv has no bias: BN subtracts the batch mean of each channel.
+    assume(b * ((h - 1) // stride + 1) * ((w - 1) // stride + 1) >= 2)  # train-mode BN needs 2 values
+    r = rng(seed)
+    blk = B.ConvBN(c_in, c_out, r, k=k, stride=stride, dilation=dilation)
+    blk.bn.gamma.data[:] = r.uniform(0.5, 2.0, c_out)
+    blk.bn.beta.data[:] = r.normal(size=c_out)
+    conv = blk.conv
+    x = Tensor(r.normal(size=(b, c_in, h, w)))
+    plain = blk(x)
+    bias = Tensor(r.normal(size=c_out))
+    biased = blk.bn(T.conv2d(x, conv.weight, bias, conv.stride, conv.dilation, conv.padding))
+    npt.assert_allclose(biased.data, plain.data, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +243,7 @@ def test_state_dict_rejects_mismatched_keys():
 def test_train_eval_propagates():
     enc = B.Encoder(rng(38), width=4, cp_width=4)
     enc.eval()
-    assert not enc.stages[0][0].bn1.training
+    assert not enc.stages[0][0].conv1.bn.training
     enc.train()
     assert enc.aspp.merge.bn.training
 

@@ -274,6 +274,7 @@ FILE_FAULTS = {
     "checkpoint_manifest_without_tensors": (_ck_manifest, _edit_json(lambda doc: doc.pop("tensors"))),
     "checkpoint_manifest_malformed": (_ck_manifest, _write_text("{bad")),
     "checkpoint_tensors_list_short": (_ck_manifest, _edit_json(lambda doc: doc["tensors"].pop(0))),
+    "checkpoint_of_other_variant": (_ck_manifest, _edit_json(lambda doc: doc["config"].update(variant="A1_no_depth"))),
     "checkpoint_dir_missing": (lambda d, ck, p: ck, shutil.rmtree),
     "dataset_clips_not_a_list": (_data_manifest, _write_text('{"clips": 5}')),
     "dataset_root_not_an_object": (_data_manifest, _write_text("[1, 2]")),
@@ -317,7 +318,7 @@ def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
     assert code == 3, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
-    assert named in lines[0]
+    assert named in lines[0] and len(lines[0]) <= 500
 
 
 def test_eval_pred_dir_reads_only_masks(one_step_run, tmp_path, capsys):

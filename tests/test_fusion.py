@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisal import fusion as F
 from trisal import tensor as T
@@ -46,6 +48,18 @@ def test_attention_rows_stochastic():
         a = pair.affinity(xm, xa).data
         npt.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-9)
         assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_affinity_ignores_key_bias(b, c, h, w, seed):
+    # Why the key convs have no bias: it adds one constant to each softmax row.
+    r = rng(seed)
+    query = Tensor(r.normal(size=(b, c, h, w)))
+    key = r.normal(size=(b, c, h, w))
+    shift = r.normal(size=(1, c, 1, 1))
+    plain = F._affinity(query, Tensor(key)).data
+    npt.assert_allclose(F._affinity(query, Tensor(key + shift)).data, plain, rtol=0, atol=1e-12)
 
 
 def test_attention_zero_value_weights_identity_on_aux():

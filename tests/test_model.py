@@ -230,7 +230,13 @@ def test_parameter_groups_cover_everything():
     heads = [n for n in names if not M.is_backbone_param(n)]
     assert backbone and heads
     assert len(backbone) + len(heads) == len(names)
-    assert all(n.startswith("enc_") for n in backbone)
+    stems_and_stages = {
+        f"enc_{s}.{part}.{n}"
+        for s in model.streams
+        for part in ("stem", "stages")
+        for n, _ in getattr(getattr(model, f"enc_{s}"), part).named_parameters()
+    }
+    assert set(backbone) == stems_and_stages
     assert any(".aspp." in n for n in heads) and any(".cp." in n for n in heads)
 
 

@@ -245,6 +245,20 @@ def test_upsample_known_1d_profile():
     npt.assert_allclose(out.data[0, 0, :, :], [[0.0, 0.5, 1.5, 2.0], [0.0, 0.5, 1.5, 2.0]])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_upsample_backward_is_adjoint(b, c, h, w, seed):
+    # <Ax, y> = <x, A^T y>, with A^T y from the recorded backward.
+    rng = np.random.default_rng(seed)
+    x = T.Tensor(rng.normal(size=(b, c, h, w)), requires_grad=True)
+    y = rng.normal(size=(b, c, 2 * h, 2 * w))
+    with T.Tape():
+        ax = T.upsample_bilinear_x2(x)
+        T.sum_all(T.mul(ax, T.Tensor(y))).backward()
+    lhs, rhs = ax.data * y, x.data * x.grad
+    assert abs(lhs.sum() - rhs.sum()) <= 1e-12 * max(np.abs(lhs).sum(), np.abs(rhs).sum())
+
+
 def test_global_avg_pool_values():
     x = T.Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
     npt.assert_allclose(T.global_avg_pool(x).data, [[7.5]])
