@@ -16,7 +16,7 @@ w2 = Tensor(rng.normal(size=(5, 1)) * 0.5, requires_grad=True)
 with Tape() as tape:
     hidden = T.relu(T.matmul(x, w1))
     score = T.sigmoid(T.matmul(hidden, w2))
-    loss = T.mean_all(T.mul(score, score))
+    loss = T.sum_all(T.mul(score, score))
     loss.backward()
 
 print("loss:", float(loss.data))
@@ -24,7 +24,7 @@ print("tape ops:", dict(tape.op_counts()))
 print("dL/dw2 column:", np.round(w2.grad.ravel(), 4))
 
 # grad_check compares the recorded gradient with central differences.
-err = T.grad_check(lambda t: T.mean_all(T.mul(T.sigmoid(T.matmul(T.relu(T.matmul(x, t)), w2)), Tensor(2.0))), w1)
+err = T.grad_check(lambda t: T.sum_all(T.mul(T.sigmoid(T.matmul(T.relu(T.matmul(x, t)), w2)), Tensor(2.0))), w1)
 print("finite-difference rel err on w1:", f"{err:.2e}")
 
 # Gradients accumulate across backward passes until cleared.

@@ -232,12 +232,13 @@ class Encoder(Module):
 
     Level i lives at 1/2^i of the input resolution. The deepest level passes
     through the dilated pyramid before compression; every level is then
-    compressed to ``cp_width`` channels by its own BConv.
+    compressed to ``cp_width`` channels by its own BConv. Every modality
+    arrives as three channels: RGB, replicated depth, or color-coded flow.
     """
 
-    def __init__(self, rng, width=16, cp_width=16, in_ch=3):
+    def __init__(self, rng, width=16, cp_width=16):
         super().__init__()
-        self.stem = BConv(in_ch, width, rng, stride=2)
+        self.stem = BConv(3, width, rng, stride=2)
         widths = (width, 2 * width, 4 * width, 8 * width)
         stages = []
         prev = width

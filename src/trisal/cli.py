@@ -101,7 +101,7 @@ def _eval_report(args, cfg):
             frames = []
             for i, gt in enumerate(masks):
                 p = os.path.join(args.pred_dir, name, f"{i:04d}.pgm")
-                frames.append((_read_pnm(p, "P5").astype(np.float64) / 255.0, gt))
+                frames.append((_read_pnm(p, "P5", gt.shape[0]).astype(np.float64) / 255.0, gt))
             sequences.append((name, frames))
     else:
         clips = D.read_dataset(data_dir)
@@ -205,7 +205,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or prediction maps")
     p.add_argument("--config", help="JSON run config")
-    p.add_argument("--checkpoint", help="checkpoint directory")
+    p.add_argument("--checkpoint", help="checkpoint file")
     p.add_argument("--pred-dir", help="directory of predicted maps (pred/<clip>/NNNN.pgm)")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--out", help="output directory for the report")
@@ -213,7 +213,7 @@ def build_parser():
 
     p = sub.add_parser("predict", help="write 8-bit saliency maps for a dataset")
     p.add_argument("--config", help="JSON run config")
-    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
+    p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--out", help="output directory")
     p.set_defaults(fn=cmd_predict)

@@ -22,21 +22,16 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d):
         reject_unknown_keys(d, cls, "config")
-        return cls(
-            model=ModelConfig.from_dict(d.get("model", {})),
-            metrics=MetricsConfig.from_dict(d.get("metrics", {})),
-            preset=d.get("preset", "overfit"),
-            clips=[ClipSpec.from_dict(c) for c in d.get("clips", [])],
-            data_dir=d.get("data_dir", "data"),
-            out_dir=d.get("out_dir", "out"),
-        )
+        parse = {
+            "model": ModelConfig.from_dict,
+            "metrics": MetricsConfig.from_dict,
+            "clips": lambda clips: [ClipSpec.from_dict(c) for c in clips],
+        }
+        return cls(**{k: parse.get(k, lambda v: v)(v) for k, v in d.items()})
 
     def specs(self):
         """Clip specs to generate: explicit list if given, else the preset."""
         return list(self.clips) if self.clips else preset_specs(self.preset)
-
-    def resolved(self):
-        return asdict(self)
 
 
 def load_config(path=None):
@@ -50,5 +45,5 @@ def echo_config(cfg, out_dir):
     """Write the fully resolved config next to the run's outputs."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.json")
-    write_json(path, cfg.resolved())
+    write_json(path, asdict(cfg))
     return path

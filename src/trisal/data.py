@@ -24,6 +24,7 @@ OBJECT_KINDS = ("rectangle", "ellipse")
 FLOW_COLOR_MAX_MAG = 10.0
 MIN_COVERAGE = 0.02
 MAX_COVERAGE = 0.60
+MAX_LAYOUT_ATTEMPTS = 64
 
 
 @dataclass
@@ -265,7 +266,7 @@ def _sample_scene(spec, rng):
     )
 
 
-def generate_clip(spec, max_attempts=64):
+def generate_clip(spec):
     """Render a clip for a spec; identical specs give bit-identical clips.
 
     Layouts are drawn from the spec's seed until one satisfies the bounds and
@@ -274,7 +275,7 @@ def generate_clip(spec, max_attempts=64):
     """
     rng = np.random.default_rng(spec.seed)
     reason = "no attempt made"
-    for _ in range(max_attempts):
+    for _ in range(MAX_LAYOUT_ATTEMPTS):
         scene = _sample_scene(spec, rng)
         samples = render_scene(scene)
         reason = _validate_samples(scene, samples)
@@ -378,7 +379,13 @@ def _write_pnm(path, planes, magic):
         fh.write(planes.tobytes())
 
 
-def _read_pnm(path, magic):
+def _check_size(path, w, h, size):
+    if (w, h) != (size, size):
+        raise DataError(f"{path}: header says {w}x{h}, the clip is {size}x{size}")
+
+
+def _read_pnm(path, magic, size):
+    """A ``size`` x ``size`` P5 (H, W) or P6 (H, W, 3) uint8 image."""
     raw = read_bytes(path)
     tokens = []
     pos = 0
@@ -397,6 +404,7 @@ def _read_pnm(path, magic):
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise DataError(f"{path}: non-numeric header field near byte {pos}") from None
+    _check_size(path, w, h, size)
     if maxval != 255:
         raise DataError(f"{path}: unsupported max value {maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -421,13 +429,15 @@ def write_flo(path, flow):
         fh.write(inter.tobytes())
 
 
-def read_flo(path):
+def read_flo(path, size):
+    """A ``size`` x ``size`` flow field as (2, H, W) float64."""
     raw = read_bytes(path)
     if raw[:4] != b"PIEH":
         raise DataError(f"{path}: bad flow magic at byte 0: {raw[:4]!r}")
     if len(raw) < 12:
         raise DataError(f"{path}: truncated flow header at byte {len(raw)}")
     w, h = struct.unpack("<ii", raw[4:12])
+    _check_size(path, w, h, size)
     expected = w * h * 2 * 4
     if len(raw) - 12 != expected:
         raise DataError(f"{path}: expected {expected} payload bytes at byte 12, got {len(raw) - 12}")
@@ -487,9 +497,9 @@ def _read_manifest(data_dir):
     )
 
 
-def _read_mask(base, i):
-    """Frame ``i``'s mask as a (1, H, W) binary {0, 1} plane."""
-    gt8 = _read_pnm(os.path.join(base, "gt", f"{i:04d}.pgm"), "P5")
+def _read_mask(base, i, size):
+    """Frame ``i``'s mask as a (1, size, size) binary {0, 1} plane."""
+    gt8 = _read_pnm(os.path.join(base, "gt", f"{i:04d}.pgm"), "P5", size)
     if np.count_nonzero((gt8 != 0) & (gt8 != 255)):
         bad = np.setdiff1d(np.unique(gt8), [0, 255])
         raise DataError(f"{base}/gt/{i:04d}.pgm: non-binary values {bad.tolist()}")
@@ -501,10 +511,10 @@ def read_dataset(data_dir):
     for name, base, frames, spec in _read_manifest(data_dir):
         samples = []
         for i in frames:
-            rgb8 = _read_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), "P6")
-            gt = _read_mask(base, i)
-            depth8 = _read_pnm(os.path.join(base, "depth", f"{i:04d}.pgm"), "P5")
-            flow = read_flo(os.path.join(base, "flow", f"{i:04d}.flo"))
+            rgb8 = _read_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), "P6", spec.size)
+            gt = _read_mask(base, i, spec.size)
+            depth8 = _read_pnm(os.path.join(base, "depth", f"{i:04d}.pgm"), "P5", spec.size)
+            flow = read_flo(os.path.join(base, "flow", f"{i:04d}.flo"), spec.size)
             samples.append(
                 TrimodalSample(
                     rgb=rgb8.transpose(2, 0, 1).astype(np.float64) / 255.0,
@@ -520,16 +530,13 @@ def read_dataset(data_dir):
 def read_masks(data_dir):
     """(name, [(H, W) binary mask per frame]) for each clip: the manifest and
     the masks only, without decoding RGB, depth or flow."""
-    return [(name, [_read_mask(base, i)[0] for i in frames]) for name, base, frames, _ in _read_manifest(data_dir)]
+    clips = _read_manifest(data_dir)
+    return [(name, [_read_mask(base, i, spec.size)[0] for i in frames]) for name, base, frames, spec in clips]
 
 
-def build_dataset(specs, names=None):
-    """Generate one clip per spec; names default to clip00, clip01, ..."""
-    clips = []
-    for i, spec in enumerate(specs):
-        name = names[i] if names else f"clip{i:02d}"
-        clips.append(Clip(name=name, spec=spec, samples=generate_clip(spec)))
-    return clips
+def build_dataset(specs):
+    """Generate one clip per spec, named clip00, clip01, ..."""
+    return [Clip(name=f"clip{i:02d}", spec=spec, samples=generate_clip(spec)) for i, spec in enumerate(specs)]
 
 
 # ---------------------------------------------------------------------------

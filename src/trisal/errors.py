@@ -1,7 +1,8 @@
 """Exception types shared across the package, the unknown-key check that
 every config document goes through, and the one place where a file on disk
-becomes data or an error."""
+becomes data or an error, and where data becomes a file."""
 
+import contextlib
 import json
 import os
 from dataclasses import fields
@@ -52,11 +53,16 @@ def read_bytes(path, error=DataError):
 
 
 def read_json(path, parse, error=DataError):
-    """``parse`` of the JSON object at ``path``. Every fault of the file, a
-    field that ``parse`` cannot find or accept included, is one ``error``
-    naming the path; ``parse`` should only pick fields."""
+    """``parse`` of the JSON object at ``path``; see ``parse_json``."""
+    return parse_json(path, read_bytes(path, error), parse, error)
+
+
+def parse_json(path, text, parse, error=DataError):
+    """``parse`` of the JSON object in ``text``, read from ``path``. Every
+    fault of the text, a field that ``parse`` cannot find or accept included,
+    is one ``error`` naming the path; ``parse`` should only pick fields."""
     try:
-        doc = json.loads(read_bytes(path, error))
+        doc = json.loads(text)
     except ValueError as exc:
         raise error(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -69,11 +75,22 @@ def read_json(path, parse, error=DataError):
         raise error(f"{path}: {exc}") from None
 
 
-def write_json(path, doc):
-    """Write ``doc`` as indented, key-sorted JSON through a temporary file, so
-    ``path`` holds either the old document or the whole new one."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def write_bytes(path, chunks):
+    """Write the byte strings ``chunks`` through a temporary file, so ``path``
+    holds either the old contents or all the new ones. A failed write removes
+    the temporary file and is one ``DataError`` naming the path."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
+def write_json(path, doc):
+    """Write ``doc`` as indented, key-sorted JSON through ``write_bytes``."""
+    write_bytes(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])

@@ -7,15 +7,15 @@ refinement fusion, and decodes coarse-to-fine with a side output at every
 level. Ablation variants rewire exactly one of those stages at build time.
 """
 
-import contextlib
-import os
+import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .blocks import BConv, Conv2d, Encoder, Module, ModuleList
-from .errors import ConfigError, ContractError, DataError, NumericalError, read_json, reject_unknown_keys, write_json
+from .errors import ConfigError, ContractError, DataError, NumericalError, reject_unknown_keys
+from .errors import parse_json, read_bytes, write_bytes
 from .fusion import ConcatFuse, CrossModalAttention, RefinementFusion, SelfAttention
 from .tensor import Tensor
 
@@ -183,8 +183,9 @@ def _check_binary(g):
         raise ContractError("ground truth must be binary (exactly 0 or 1)")
 
 
-def level_losses(outputs, gt, iou_eps=1.0):
-    """Unweighted per-level losses, each cross-entropy plus soft-overlap.
+def level_losses(outputs, gt):
+    """Unweighted per-level losses, each cross-entropy plus soft-overlap
+    (1 - IoU, with 1 added to both intersection and union).
 
     Every side output is doubled up to the ground-truth resolution and put
     through a sigmoid; probabilities are clamped away from 0 and 1 so the
@@ -203,7 +204,7 @@ def level_losses(outputs, gt, iou_eps=1.0):
         bce = T.div(T.sum_all(ce_map), Tensor(n))
         inter = T.sum_all(T.mul(p, gt))
         union = T.sub(T.add(T.sum_all(p), T.sum_all(gt)), inter)
-        iou = T.sub(Tensor(1.0), T.div(T.add(inter, Tensor(iou_eps)), T.add(union, Tensor(iou_eps))))
+        iou = T.sub(Tensor(1.0), T.div(T.add(inter, Tensor(1.0)), T.add(union, Tensor(1.0))))
         losses.append(T.add(bce, iou))
     return losses
 
@@ -332,33 +333,40 @@ def predict(model, rgb, depth, flow):
 
 
 def save_checkpoint(path, model, step=0):
-    """Write one file per tensor, then the manifest; a save cut short leaves none."""
-    tensor_dir = os.path.join(path, "tensors")
-    os.makedirs(tensor_dir, exist_ok=True)
-    manifest = os.path.join(path, "manifest.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(manifest)
+    """Write one file, replaced whole: a compact key-sorted JSON header line
+    with ``config``, ``step`` and ``tensors`` (``[name, shape]`` in sorted-name
+    order), then each of those tensors as little-endian float64."""
     state = model.state_dict()
     names = sorted(state)
-    for name in names:
-        T.save_tensor(os.path.join(tensor_dir, name + ".bin"), state[name])
-    write_json(manifest, {"config": asdict(model.config), "step": step, "tensors": names})
+    header = {"config": asdict(model.config), "step": step, "tensors": [[n, list(state[n].shape)] for n in names]}
+    text = json.dumps(header, separators=(",", ":"), sort_keys=True) + "\n"
+    write_bytes(path, [text.encode(), *(np.ascontiguousarray(state[n].data, dtype="<f8") for n in names)])
 
 
 def load_checkpoint(path):
-    manifest = os.path.join(path, "manifest.json")
-    config, step, files = read_json(
-        manifest,
-        lambda m: (
-            ModelConfig.from_dict(m["config"]),
-            int(m["step"]),
-            {name: os.path.join(path, "tensors", name + ".bin") for name in m["tensors"]},
-        ),
+    """(model, step) from a ``save_checkpoint`` file. The header's tensor
+    list must equal the built model's and the payload must hold exactly their
+    bytes before any array is filled, so no shape read from disk reaches numpy."""
+    raw = read_bytes(path)
+    header = raw[: raw.find(b"\n")] if b"\n" in raw else raw
+    config, step, listed = parse_json(
+        path, header, lambda h: (ModelConfig.from_dict(h["config"]), int(h["step"]), list(h["tensors"]))
     )
     model = build(config)
-    state = {name: T.load_tensor(f) for name, f in files.items()}
-    try:
-        model.load_state_dict(state)
-    except ConfigError as exc:  # the manifest's tensors do not fit its own config
-        raise DataError(f"{manifest}: {exc}") from None
+    state = model.state_dict()
+    names = sorted(state)
+    # compared as text, so a dimension of 1.0 or true is not 1
+    got, need = [repr(e) for e in listed], [repr([n, list(state[n].shape)]) for n in names]
+    if got != need:
+        i = next((i for i, (a, b) in enumerate(zip(got, need)) if a != b), min(len(got), len(need)))
+        a, b = (e[i][:120] if i < len(e) else "nothing" for e in (got, need))
+        raise DataError(f"{path}: tensor {i} is {a}, the {config.variant} model needs {b}")
+    start = len(header) + 1
+    size = sum(state[n].data.size for n in names) * 8
+    if len(raw) - start != size:
+        raise DataError(f"{path}: expected {size} payload bytes after byte {start}, got {max(0, len(raw) - start)}")
+    for n in names:
+        data = state[n].data
+        data[...] = np.frombuffer(raw, dtype="<f8", count=data.size, offset=start).reshape(data.shape)
+        start += data.size * 8
     return model, step

@@ -7,13 +7,11 @@ active tape the same functions run as plain forward numerics, which is what
 evaluation and finite differencing use.
 """
 
-import json
-import math
 from collections import Counter
 
 import numpy as np
 
-from .errors import ContractError, DataError, ShapeError, read_bytes
+from .errors import ContractError, ShapeError
 
 _TAPES = []  # innermost active tape last
 
@@ -297,17 +295,6 @@ def sum_all(x):
     return _make("sum_all", np.asarray(out), (x,), bwd)
 
 
-def mean_all(x):
-    n = x.data.size
-    out = x.data.mean()
-    shape = x.data.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, shape).copy(),)
-
-    return _make("mean_all", np.asarray(out), (x,), bwd)
-
-
 def global_avg_pool(x):
     """(B, C, H, W) -> (B, C) spatial mean."""
     if x.data.ndim != 4:
@@ -541,32 +528,3 @@ def grad_check(f, x, step=1e-5):
     flat = x.data.flat  # writes through to x.data, contiguous or not
     numeric = [central_difference(lambda: f(x), flat, i, step) for i in range(x.data.size)]
     return float(np.max(relative_error(x.grad.reshape(-1), np.array(numeric))))
-
-
-# ---------------------------------------------------------------------------
-# serialization: one JSON header line, then raw little-endian float64
-
-
-def save_tensor(path, t):
-    data = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps({"shape": list(data.shape)}).encode() + b"\n")
-        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
-
-
-def load_tensor(path):
-    header, _, raw = read_bytes(path).partition(b"\n")
-    try:
-        shape = tuple(json.loads(header)["shape"])
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError(f"shape {list(shape)} is not a list of non-negative integers")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: bad tensor header at byte 0: {exc}") from None
-    expected = math.prod(shape) * 8
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} payload bytes after byte {len(header) + 1}, got {len(raw)}")
-    try:
-        data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    except ValueError as exc:  # a zero dimension lets a shape numpy cannot hold pass the byte count
-        raise DataError(f"{path}: bad tensor header at byte 0: {exc}") from None
-    return Tensor(data.astype(np.float64))

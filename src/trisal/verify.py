@@ -73,7 +73,6 @@ def op_checks():
                 T.broadcast_hw(T.reshape(T.global_avg_pool(t), (2, 3, 1, 1)), 4, 4), 29
             ),
         ),
-        ("mean_all", lambda t: T.mean_all(T.mul(t, t))),
     ]
     for name, f in simple:
         checks.append((name, T.grad_check(f, x4), 1e-5))

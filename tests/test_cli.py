@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -66,7 +67,7 @@ def test_train_artifacts(workdir):
     assert log[0] == "step,loss,l1,l2,l3,l4,l5"
     assert len(log) == 1 + TINY_RUN["model"]["steps"]
     assert all(len(line.split(",")) == 7 for line in log[1:])
-    assert os.path.isfile(os.path.join(out, "checkpoint", "manifest.json"))
+    assert os.path.isfile(os.path.join(out, "checkpoint"))
     assert os.path.isfile(os.path.join(out, "config.json"))
 
 
@@ -115,7 +116,7 @@ def test_predict_roundtrips_through_eval(workdir, tmp_path):
     assert cli.main(["predict", "--checkpoint", ck, *args, "--out", str(pred_out)]) == 0
     maps = sorted(os.listdir(pred_out / "pred" / "clip00"))
     assert maps == ["0000.pgm", "0001.pgm", "0002.pgm"]
-    img = _read_pnm(str(pred_out / "pred" / "clip00" / "0000.pgm"), "P5")
+    img = _read_pnm(str(pred_out / "pred" / "clip00" / "0000.pgm"), "P5", 32)
     assert img.shape == (32, 32) and img.dtype == np.uint8
 
     direct, via_files = tmp_path / "e1", tmp_path / "e2"
@@ -201,7 +202,7 @@ def test_non_binary_mask_exits_3(four_frame_data, tmp_path, capsys):
     shutil.copytree(four_frame_data, data)
     shutil.copytree(data / "clip00" / "gt", pred / "clip00")
     gt_path = str(data / "clip00" / "gt" / "0002.pgm")
-    mask = _read_pnm(gt_path, "P5").copy()
+    mask = _read_pnm(gt_path, "P5", 32).copy()
     mask[5, 7] = 128
     _write_pnm(gt_path, mask, "P5")
     cfg = tmp_path / "run.json"
@@ -228,63 +229,117 @@ def _edit_json(edit):
     return damage
 
 
-def _write_text(text):
+def _write_bytes(raw):
     def damage(path):
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(raw)
 
     return damage
 
 
-def _truncate(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(raw[:-8])
+def _resize(by):
+    """Cut ``-by`` bytes off the end of the file, or append ``by`` zero bytes."""
 
-
-def _tensor_header(text):
     def damage(path):
         with open(path, "rb") as fh:
-            payload = fh.read().partition(b"\n")[2]
+            raw = fh.read()
         with open(path, "wb") as fh:
-            fh.write(text.encode() + b"\n" + payload)
+            fh.write(raw[:by] if by < 0 else raw + bytes(by))
 
     return damage
 
 
-def _first_tensor(ck):
-    with open(os.path.join(ck, "manifest.json")) as fh:
-        return os.path.join(ck, "tensors", json.load(fh)["tensors"][0] + ".bin")
+def _read_checkpoint(path):
+    with open(path, "rb") as fh:
+        header, _, payload = fh.read().partition(b"\n")
+    return json.loads(header), payload
 
 
-def _ck_manifest(data, ck, pred):
-    return os.path.join(ck, "manifest.json")
+def _write_checkpoint(path, doc, payload):
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(doc).encode() + b"\n" + payload)
+
+
+def _edit_header(edit):
+    def damage(path):
+        doc, payload = _read_checkpoint(path)
+        edit(doc)
+        _write_checkpoint(path, doc, payload)
+
+    return damage
+
+
+def _drop_first_tensor(path):
+    """The header and the payload both lose the first tensor, so the file is
+    self-consistent but lacks a tensor the model needs."""
+    doc, payload = _read_checkpoint(path)
+    _, shape = doc["tensors"].pop(0)
+    _write_checkpoint(path, doc, payload[8 * int(np.prod(shape)) :])
+
+
+def _negative_first_shape(doc):
+    # the first tensor holds 8 values, so the product of dimensions still fits its payload
+    doc["tensors"][0][1] = [-1, -8]
+
+
+def _ones_in_first_1x1_conv(fill):
+    """Every 1 in the first 1x1 conv's shape becomes ``fill``, equal to 1 in
+    Python for ``True`` and ``1.0``; the payload stays as it is."""
+
+    def edit(doc):
+        entry = next(e for e in doc["tensors"] if e[1][2:] == [1, 1])
+        entry[1] = [fill if d == 1 else d for d in entry[1]]
+
+    return _edit_header(edit)
+
+
+def _ck(data, ck, pred):
+    return ck
 
 
 def _data_manifest(data, ck, pred):
     return os.path.join(data, "manifest.json")
 
 
+def _frame(sub, name):
+    return lambda data, ck, pred: os.path.join(data, "clip00", sub, name)
+
+
+def _prediction(name):
+    return lambda data, ck, pred: os.path.join(pred, "clip00", name)
+
+
 # name: (the file to damage, from the dataset, checkpoint and prediction
-# directories; the damage). The ERROR DATA line has to name that file.
+# paths; the damage). The ERROR DATA line has to name that file.
 FILE_FAULTS = {
-    "checkpoint_tensor_deleted": (lambda d, ck, p: _first_tensor(ck), os.remove),
-    "checkpoint_manifest_without_step": (_ck_manifest, _edit_json(lambda doc: doc.pop("step"))),
-    "checkpoint_manifest_without_tensors": (_ck_manifest, _edit_json(lambda doc: doc.pop("tensors"))),
-    "checkpoint_manifest_malformed": (_ck_manifest, _write_text("{bad")),
-    "checkpoint_tensors_list_short": (_ck_manifest, _edit_json(lambda doc: doc["tensors"].pop(0))),
-    "checkpoint_of_other_variant": (_ck_manifest, _edit_json(lambda doc: doc["config"].update(variant="A1_no_depth"))),
-    "checkpoint_dir_missing": (lambda d, ck, p: ck, shutil.rmtree),
-    "dataset_clips_not_a_list": (_data_manifest, _write_text('{"clips": 5}')),
-    "dataset_root_not_an_object": (_data_manifest, _write_text("[1, 2]")),
+    "checkpoint_missing": (_ck, os.remove),
+    "checkpoint_header_malformed": (_ck, _write_bytes(b"{bad\n" + bytes(64))),
+    "checkpoint_header_without_step": (_ck, _edit_header(lambda doc: doc.pop("step"))),
+    "checkpoint_header_without_tensors": (_ck, _edit_header(lambda doc: doc.pop("tensors"))),
+    "checkpoint_tensors_list_short": (_ck, _edit_header(lambda doc: doc["tensors"].pop(0))),
+    "checkpoint_tensor_deleted": (_ck, _drop_first_tensor),
+    "checkpoint_of_other_variant": (_ck, _edit_header(lambda doc: doc["config"].update(variant="A1_no_depth"))),
+    "checkpoint_tensor_truncated": (_ck, _resize(-8)),
+    "checkpoint_payload_8_bytes_long": (_ck, _resize(8)),
+    "checkpoint_tensor_negative_dims": (_ck, _edit_header(_negative_first_shape)),
+    "checkpoint_tensor_bool_dims": (_ck, _ones_in_first_1x1_conv(True)),
+    "checkpoint_tensor_float_dims": (_ck, _ones_in_first_1x1_conv(1.0)),
+    "checkpoint_tensor_string_dims": (_ck, _ones_in_first_1x1_conv("a")),
+    "dataset_clips_not_a_list": (_data_manifest, _write_bytes(b'{"clips": 5}')),
+    "dataset_root_not_an_object": (_data_manifest, _write_bytes(b"[1, 2]")),
     "dataset_frames_not_a_number": (_data_manifest, _edit_json(lambda doc: doc["clips"][0].update(frames="two"))),
     "dataset_spec_unknown_key": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(sede=1))),
     "dataset_spec_too_small": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(size=8))),
-    "checkpoint_tensor_truncated": (lambda d, ck, p: _first_tensor(ck), _truncate),
-    # the first tensor holds 8 values, so the header's product of dimensions fits its payload
-    "checkpoint_tensor_negative_dims": (lambda d, ck, p: _first_tensor(ck), _tensor_header('{"shape": [-1, -8]}')),
-    "prediction_map_missing": (lambda d, ck, p: os.path.join(p, "clip00", "0001.pgm"), os.remove),
+    # each negative header's product of dimensions matches its payload
+    "flow_header_negative_dims": (
+        _frame("flow", "0000.flo"),
+        _write_bytes(b"PIEH" + struct.pack("<ii", -1, -8) + bytes(64)),
+    ),
+    "depth_header_negative_dims": (_frame("depth", "0000.pgm"), _write_bytes(b"P5\n-1 -8\n255\n" + bytes(8))),
+    # a well-formed 16 px map in a 32 px clip
+    "depth_map_wrong_size": (_frame("depth", "0001.pgm"), _write_bytes(b"P5\n16 16\n255\n" + bytes(256))),
+    "prediction_map_missing": (_prediction("0001.pgm"), os.remove),
+    "prediction_map_wrong_size": (_prediction("0000.pgm"), _write_bytes(b"P5\n16 16\n255\n" + bytes(256))),
 }
 
 
@@ -306,8 +361,9 @@ def one_step_run(tmp_path_factory):
 @pytest.mark.parametrize("fault", sorted(FILE_FAULTS))
 def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
     data, ck, pred = (str(tmp_path / name) for name in ("data", "ck", "pred"))
-    for src, dst in ((one_step_run["data"], data), (one_step_run["ck"], ck), (one_step_run["pred"], pred)):
-        shutil.copytree(src, dst)
+    shutil.copytree(one_step_run["data"], data)
+    shutil.copyfile(one_step_run["ck"], ck)
+    shutil.copytree(one_step_run["pred"], pred)
     target, damage = FILE_FAULTS[fault]
     named = target(data, ck, pred)
     damage(named)

@@ -16,6 +16,10 @@ def test_empty_document_is_complete():
     assert cfg.out_dir == "out"
 
 
+def test_empty_document_is_the_dataclass_default():
+    assert RunConfig.from_dict({}) == RunConfig()
+
+
 def test_load_config_none_gives_defaults():
     assert load_config(None) == RunConfig.from_dict({})
 

@@ -280,8 +280,11 @@ def test_flo_format_layout(tmp_path):
     vals = np.frombuffer(raw[12:], dtype="<f4").reshape(2, 3, 2)
     assert vals[0, 1, 0] == 1.5
     assert vals[1, 2, 1] == -2.5
-    back = D.read_flo(p)
-    npt.assert_array_equal(back, flow)
+    with pytest.raises(DataError, match="header says 3x2, the clip is 3x3"):
+        D.read_flo(p, 3)
+    square = np.arange(18.0).reshape(2, 3, 3)
+    D.write_flo(p, square)
+    npt.assert_array_equal(D.read_flo(p, 3), square)
 
 
 def test_preset_suites():

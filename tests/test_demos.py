@@ -10,7 +10,7 @@ import pytest
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 CASES = [
-    ("01_autodiff_basics.py", "tape ops: {'matmul': 2, 'relu': 1, 'sigmoid': 1, 'mul': 1, 'mean_all': 1}"),
+    ("01_autodiff_basics.py", "tape ops: {'matmul': 2, 'relu': 1, 'sigmoid': 1, 'mul': 1, 'sum_all': 1}"),
     ("02_attention_and_fusion.py", "row sums: [1.]"),
     ("03_synthetic_clips.py", "disk round-trip bit-identical: True"),
 ]

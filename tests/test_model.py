@@ -1,13 +1,17 @@
 """Unit tests for network assembly, supervision, and the training loop."""
 
+import errno
 import gc
 import math
+import os
+import re
 import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from trisal import errors
 from trisal import model as M
 from trisal import tensor as T
 from trisal.errors import ConfigError, ContractError, DataError
@@ -318,48 +322,78 @@ def test_fit_log_deterministic():
 
 def test_checkpoint_roundtrip(tmp_path):
     cfg = small_config()
-    model = M.build(cfg)
-    samples = make_samples(2, seed=14)
-    M.fit(model, samples, cfg)
-    M.save_checkpoint(tmp_path / "ck", model, step=3)
-    loaded, step = M.load_checkpoint(tmp_path / "ck")
-    assert step == 3
-    s1, s2 = model.state_dict(), loaded.state_dict()
-    assert s1.keys() == s2.keys()
-    for k in s1:
-        assert s1[k].data.tobytes() == s2[k].data.tobytes(), k
+    trained = M.build(cfg)
+    M.fit(trained, make_samples(2, seed=14), cfg)
+    for model in [trained] + [M.build(small_config(variant=v)) for v in M.VARIANTS if v != "Full"]:
+        M.save_checkpoint(tmp_path / "ck", model, step=3)
+        loaded, step = M.load_checkpoint(tmp_path / "ck")
+        assert step == 3 and loaded.config == model.config
+        s1, s2 = model.state_dict(), loaded.state_dict()
+        assert s1.keys() == s2.keys()
+        for k in s1:
+            assert s1[k].data.tobytes() == s2[k].data.tobytes(), (model.config.variant, k)
 
 
-def test_interrupted_checkpoint_save_is_not_loadable(tmp_path, monkeypatch):
+class _FullDisk:
+    """A file that takes ``room`` bytes, then fails the way a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        chunk = memoryview(chunk).cast("B")
+        self.fh.write(chunk[: self.room])
+        self.room -= len(chunk)
+        if self.room < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_interrupted_checkpoint_save_keeps_the_old_one(tmp_path, monkeypatch):
     old, new = M.build(small_config(seed=1)), M.build(small_config(seed=2))
-    M.save_checkpoint(tmp_path / "ck", old, step=1)
-    calls = []
-    real_save = T.save_tensor
+    path = tmp_path / "ck"
+    M.save_checkpoint(path, old, step=1)
+    before = path.read_bytes()
+    monkeypatch.setattr(errors, "open", lambda p, mode: _FullDisk(open(p, mode), len(before) // 2), raising=False)
+    with pytest.raises(DataError, match=re.escape(f"{path}: cannot write: No space left on device")):
+        M.save_checkpoint(path, new, step=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    loaded, step = M.load_checkpoint(path)
+    assert step == 1
+    s1, s2 = old.state_dict(), loaded.state_dict()
+    assert all(s1[k].data.tobytes() == s2[k].data.tobytes() for k in s1)
+    assert os.listdir(tmp_path) == ["ck"]
 
-    def failing_save(path, t):
-        calls.append(path)
-        if len(calls) == 11:
-            raise OSError("disk full")
-        real_save(path, t)
 
-    monkeypatch.setattr(T, "save_tensor", failing_save)
-    with pytest.raises(OSError, match="disk full"):
-        M.save_checkpoint(tmp_path / "ck", new, step=2)
-    with pytest.raises(DataError, match="manifest.json"):
+def test_checkpoint_save_over_a_directory_is_data_error(tmp_path):
+    # a checkpoint from before the one-file format is a directory
+    (tmp_path / "ck" / "tensors").mkdir(parents=True)
+    with pytest.raises(DataError, match=re.escape(str(tmp_path / "ck"))):
+        M.save_checkpoint(tmp_path / "ck", M.build(small_config()))
+    assert os.listdir(tmp_path) == ["ck"]
+    with pytest.raises(DataError, match=re.escape(str(tmp_path / "ck"))):
         M.load_checkpoint(tmp_path / "ck")
-    assert not list((tmp_path / "ck").glob("*.tmp"))
 
 
-def test_truncated_checkpoint_manifest_is_data_error(tmp_path):
-    M.save_checkpoint(tmp_path / "ck", M.build(small_config()), step=3)
-    path = tmp_path / "ck" / "manifest.json"
+def test_truncated_checkpoint_is_data_error(tmp_path):
+    model = M.build(small_config())
+    path = tmp_path / "ck"
+    M.save_checkpoint(path, model, step=3)
     whole = path.read_bytes()
-    for cut in range(len(whole)):
-        if whole[:cut].strip() == whole.strip():
-            continue
+    start = whole.index(b"\n") + 1
+    state = model.state_dict()
+    boundaries = np.cumsum([0] + [state[n].data.size * 8 for n in sorted(state)])
+    assert start + boundaries[-1] == len(whole)
+    for cut in [*range(start), *(start + boundaries[:-1])]:
         path.write_bytes(whole[:cut])
-        with pytest.raises(DataError):
-            M.load_checkpoint(tmp_path / "ck")
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            M.load_checkpoint(path)
 
 
 def test_predict_shape_and_range():
