@@ -76,14 +76,17 @@ def parse_json(path, text, parse, error=DataError):
 
 
 def write_bytes(path, chunks):
-    """Write the byte strings ``chunks`` through a temporary file, so ``path``
-    holds either the old contents or all the new ones. A failed write removes
+    """Write the byte strings ``chunks`` through a temporary file, synced to
+    disk before it replaces ``path``, so ``path`` holds either the old
+    contents or all the new ones. A failed write removes
     the temporary file and is one ``DataError`` naming the path."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):

@@ -8,6 +8,7 @@ level. Ablation variants rewire exactly one of those stages at build time.
 """
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -335,11 +336,13 @@ def predict(model, rgb, depth, flow):
 def save_checkpoint(path, model, step=0):
     """Write one file, replaced whole: a compact key-sorted JSON header line
     with ``config``, ``step`` and ``tensors`` (``[name, shape]`` in sorted-name
-    order), then each of those tensors as little-endian float64."""
+    order), then each of those tensors as little-endian float64. A missing
+    parent directory is created."""
     state = model.state_dict()
     names = sorted(state)
     header = {"config": asdict(model.config), "step": step, "tensors": [[n, list(state[n].shape)] for n in names]}
     text = json.dumps(header, separators=(",", ":"), sort_keys=True) + "\n"
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     write_bytes(path, [text.encode(), *(np.ascontiguousarray(state[n].data, dtype="<f8") for n in names)])
 
 
@@ -362,11 +365,10 @@ def load_checkpoint(path):
         a, b = (e[i][:120] if i < len(e) else "nothing" for e in (got, need))
         raise DataError(f"{path}: tensor {i} is {a}, the {config.variant} model needs {b}")
     start = len(header) + 1
-    size = sum(state[n].data.size for n in names) * 8
+    sizes = [state[n].data.size for n in names]
+    size = sum(sizes) * 8
     if len(raw) - start != size:
         raise DataError(f"{path}: expected {size} payload bytes after byte {start}, got {max(0, len(raw) - start)}")
-    for n in names:
-        data = state[n].data
-        data[...] = np.frombuffer(raw, dtype="<f8", count=data.size, offset=start).reshape(data.shape)
-        start += data.size * 8
+    parts = np.split(np.frombuffer(raw, dtype="<f8", offset=start), np.cumsum(sizes)[:-1])
+    model.load_state_dict({n: part.reshape(state[n].shape) for n, part in zip(names, parts)})
     return model, step

@@ -324,9 +324,10 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg = small_config()
     trained = M.build(cfg)
     M.fit(trained, make_samples(2, seed=14), cfg)
+    path = tmp_path / "run" / "ck"  # save_checkpoint creates the run directory
     for model in [trained] + [M.build(small_config(variant=v)) for v in M.VARIANTS if v != "Full"]:
-        M.save_checkpoint(tmp_path / "ck", model, step=3)
-        loaded, step = M.load_checkpoint(tmp_path / "ck")
+        M.save_checkpoint(path, model, step=3)
+        loaded, step = M.load_checkpoint(path)
         assert step == 3 and loaded.config == model.config
         s1, s2 = model.state_dict(), loaded.state_dict()
         assert s1.keys() == s2.keys()
