@@ -27,6 +27,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     VerificationError,
+    write_bytes,
 )
 
 
@@ -47,10 +48,8 @@ def _all_samples(clips):
 
 
 def _write_loss_log(path, rows):
-    with open(path, "w") as fh:
-        fh.write("step,loss,l1,l2,l3,l4,l5\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    lines = (",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows)
+    write_bytes(path, [b"step,loss,l1,l2,l3,l4,l5\n", *(line.encode() for line in lines)])
 
 
 def _predict_clip(model, clip):
@@ -177,10 +176,8 @@ def cmd_ablate(args):
         results.append((label, agg["max_f"], agg["s_measure"], agg["mae"]))
         print(f"{label}: max_f {agg['max_f']:.4f} s_measure {agg['s_measure']:.4f} mae {agg['mae']:.4f}")
     table_path = os.path.join(out, "ablation.csv")
-    with open(table_path, "w") as fh:
-        fh.write("variant,max_f,s_measure,mae\n")
-        for label, f, s, e in results:
-            fh.write(f"{label},{f:.6f},{s:.6f},{e:.6f}\n")
+    rows = (f"{label},{f:.6f},{s:.6f},{e:.6f}\n".encode() for label, f, s, e in results)
+    write_bytes(table_path, [b"variant,max_f,s_measure,mae\n", *rows])
     print(f"wrote {table_path}")
     return 0
 

@@ -13,11 +13,12 @@ Conventions, fixed here and mirrored by the test oracles:
 """
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, ShapeError, reject_unknown_keys, write_json
+from .errors import ConfigError, ContractError, NumericalError, ShapeError, reject_unknown_keys, write_bytes, write_json
 
 
 @dataclass
@@ -154,12 +155,13 @@ class MetricsReport:
     aggregate: dict  # {"s_measure", "max_f", "mae", "sequences"}
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sequence", "s_measure", "max_f", "mae"])
-            for name in sorted(self.per_sequence):
-                row = self.per_sequence[name]
-                w.writerow([name, f"{row['s_measure']:.6f}", f"{row['max_f']:.6f}", f"{row['mae']:.6f}"])
+        text = io.StringIO()
+        w = csv.writer(text)
+        w.writerow(["sequence", "s_measure", "max_f", "mae"])
+        for name in sorted(self.per_sequence):
+            row = self.per_sequence[name]
+            w.writerow([name, f"{row['s_measure']:.6f}", f"{row['max_f']:.6f}", f"{row['mae']:.6f}"])
+        write_bytes(path, [text.getvalue().encode()])
 
     def write_json(self, path):
         write_json(path, {"aggregate": self.aggregate, "per_sequence": self.per_sequence})

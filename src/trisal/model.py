@@ -247,11 +247,13 @@ class SGD:
             for p, v in zip(params, vels):
                 if p.grad is None:
                     continue
-                g = p.grad + self.weight_decay * p.data
+                # The bits of v = m * v + (grad + wd * data); data -= lr * v, with one temporary
+                g = p.data * self.weight_decay
+                g += p.grad
                 v *= self.momentum
                 v += g
                 if lr != 0.0:
-                    p.data -= lr * v
+                    p.data -= np.multiply(v, lr, out=g)
 
 
 def is_backbone_param(name):
@@ -298,6 +300,9 @@ def train_step(model, optimizer, batch, step=None):
             where = f"op '{culprit[0]}' (record {culprit[1]})" if culprit else "loss"
             raise NumericalError(f"non-finite loss at step {step}: first non-finite tensor from {where}")
         total.backward()
+    for name, p in model.named_parameters():
+        if not np.isfinite(p.grad).all():
+            raise NumericalError(f"non-finite gradient at step {step} in parameter '{name}'; parameters not updated")
     optimizer.step()
     return float(total.data), [float(l.data) for l in per_level]
 

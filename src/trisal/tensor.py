@@ -5,6 +5,10 @@ computation backwards. Ops are module-level functions. Recording happens when
 a ``Tape`` is active *and* at least one input requires gradients; without an
 active tape the same functions run as plain forward numerics, which is what
 evaluation and finite differencing use.
+
+Layout: ``conv2d`` and ``batchnorm2d`` return their (B, C, H, W) output, and ``conv2d``
+its input gradient, as a transposed view of a contiguous (C, B, H, W) array, so conv -> BN
+-> ReLU -> conv copies nothing. No ``data`` or gradient is promised to be C-contiguous.
 """
 
 from collections import Counter
@@ -365,32 +369,38 @@ def conv2d(x, w, bias, stride=1, dilation=1, padding=0):
             f"conv2d: output extent {out_h}x{out_w} for input {xd.shape}, kernel {k}, "
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
-    # Kernel tap (i, j) reads the strided window of xp at offset (i, j) * dilation;
-    # the im2col fill and the backward scatter both walk this one list.
-    offsets = [i * dilation for i in range(k)]
+    # Tap (i, j) reads the strided window of xp at offset (i, j) * dilation. Along each axis only
+    # taps [i0, i1) meet the input; the rest read only padding, as atrous taps do once the rate
+    # nears the map size (DeepLabv3 §3.3). The column fill and the backward scatter walk `taps`.
+    i0, j0 = (max(0, -((stride * (m - 1) - padding) // dilation)) for m in (out_h, out_w))
+    i1, j1 = (max(a, min(k, (padding + n - 1) // dilation + 1)) for a, n in ((i0, h), (j0, wid)))
+    xp = np.zeros((c, b_, h + 2 * padding, wid + 2 * padding))  # (C, B, H, W), padded; faster than np.pad
+    xp[:, :, padding : padding + h, padding : padding + wid] = xd.transpose(1, 0, 2, 3)
     taps = [
-        (i, j, np.s_[:, :, hi : hi + stride * out_h : stride, wj : wj + stride * out_w : stride])
-        for i, hi in enumerate(offsets)
-        for j, wj in enumerate(offsets)
+        (i - i0, j - j0, np.s_[:, :, i * dilation : i * dilation + stride * out_h : stride,
+                                     j * dilation : j * dilation + stride * out_w : stride])
+        for i in range(i0, i1)
+        for j in range(j0, j1)
     ]
-    cols = np.empty((b_, c, k, k, out_h, out_w), dtype=np.float64)
+    cols = np.empty((c, i1 - i0, j1 - j0, b_, out_h, out_w))
     for i, j, window in taps:
-        cols[:, :, i, j] = xp[window]
-    cols_m = cols.reshape(b_, c * k * k, out_h * out_w)
-    out = np.matmul(wd.reshape(o, c * k * k), cols_m).reshape(b_, o, out_h, out_w)
+        cols[:, i, j] = xp[window]
+    cols = cols.reshape(-1, b_ * out_h * out_w)
+    wk = wd[:, :, i0:i1, j0:j1].reshape(o, -1)
+    out = (wk @ cols).reshape(o, b_, out_h, out_w).transpose(1, 0, 2, 3)
     if bias is not None:
-        out += bias.data[None, :, None, None]
+        out += bias.data[:, None, None]
 
     def bwd(g):
-        gl = g.reshape(b_, o, out_h * out_w)
-        dw = np.tensordot(gl, cols_m, axes=([0, 2], [0, 2])).reshape(o, c, k, k)
-        dcols = np.matmul(wd.reshape(o, c * k * k).T, gl).reshape(b_, c, k, k, out_h, out_w)
-        gxp = np.zeros_like(xp)
+        gm = g.transpose(1, 0, 2, 3).reshape(o, -1)
+        dw = np.zeros_like(wd)
+        dw[:, :, i0:i1, j0:j1] = (gm @ cols.T).reshape(o, c, i1 - i0, j1 - j0)
+        dcols = (wk.T @ gm).reshape(c, i1 - i0, j1 - j0, b_, out_h, out_w)
+        gxp = np.zeros((c, b_, h + 2 * padding, wid + 2 * padding))
         for i, j, window in taps:
-            gxp[window] += dcols[:, :, i, j]
-        dx = gxp[:, :, padding : padding + h, padding : padding + wid] if padding else gxp
-        return (dx, dw) if bias is None else (dx, dw, g.sum(axis=(0, 2, 3)))
+            gxp[window] += dcols[:, i, j]
+        dx = gxp[:, :, padding : padding + h, padding : padding + wid].transpose(1, 0, 2, 3)
+        return (dx, dw) if bias is None else (dx, dw, gm.sum(axis=1))
 
     return _make("conv2d", out, (x, w) if bias is None else (x, w, bias), bwd)
 
@@ -409,11 +419,12 @@ def batchnorm2d(x, gamma, beta, running_stats, mode, eps=1e-5, momentum=0.1):
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"batchnorm2d: gamma/beta for {c} channels, got {gamma.data.shape}/{beta.data.shape}")
     run_mean, run_var = running_stats
+    xm = xd.transpose(1, 0, 2, 3).reshape(c, -1)  # channel rows; a view of every conv output
     if mode == "train":
-        if b_ * h * w < 2:
+        if xm.shape[1] < 2:
             raise ContractError("batchnorm2d train mode needs batch*H*W >= 2")
-        mu = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+        mu = xm.mean(axis=1)
+        var = xm.var(axis=1)
         run_mean.data *= 1.0 - momentum
         run_mean.data += momentum * mu
         run_var.data *= 1.0 - momentum
@@ -423,22 +434,22 @@ def batchnorm2d(x, gamma, beta, running_stats, mode, eps=1e-5, momentum=0.1):
         var = run_var.data
     else:
         raise ContractError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    n = b_ * h * w
+    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat = (xm - mu[:, None]) * inv
+    out = (gamma.data[:, None] * xhat + beta.data[:, None]).reshape(c, b_, h, w).transpose(1, 0, 2, 3)
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        gx = g * gamma.data[None, :, None, None]
+        gm = g.transpose(1, 0, 2, 3).reshape(c, -1)
+        dgamma = (gm * xhat).sum(axis=1)
+        dbeta = gm.sum(axis=1)
+        gx = gm * gamma.data[:, None]
         if mode == "train":
-            m1 = gx.mean(axis=(0, 2, 3))
-            m2 = (gx * xhat).sum(axis=(0, 2, 3)) / n
-            dx = inv[None, :, None, None] * (gx - m1[None, :, None, None] - xhat * m2[None, :, None, None])
+            m1 = gx.mean(axis=1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=1, keepdims=True)
+            dx = inv * (gx - m1 - xhat * m2)
         else:
-            dx = gx * inv[None, :, None, None]
-        return dx, dgamma, dbeta
+            dx = gx * inv
+        return dx.reshape(c, b_, h, w).transpose(1, 0, 2, 3), dgamma, dbeta
 
     return _make("batchnorm2d", out, (x, gamma, beta), bwd)
 

@@ -309,6 +309,11 @@ def _prediction(name):
     return lambda data, ck, pred: os.path.join(pred, "clip00", name)
 
 
+def _output(name):
+    """A file the command writes into its --out directory, ``o`` next to ``data``."""
+    return lambda data, ck, pred: os.path.join(os.path.dirname(data), "o", name)
+
+
 # name: (the file to damage, from the dataset, checkpoint and prediction
 # paths; the damage). The ERROR DATA line has to name that file.
 FILE_FAULTS = {
@@ -340,6 +345,9 @@ FILE_FAULTS = {
     "depth_map_wrong_size": (_frame("depth", "0001.pgm"), _write_bytes(b"P5\n16 16\n255\n" + bytes(256))),
     "prediction_map_missing": (_prediction("0001.pgm"), os.remove),
     "prediction_map_wrong_size": (_prediction("0000.pgm"), _write_bytes(b"P5\n16 16\n255\n" + bytes(256))),
+    # `train` writes loss_log.csv, `eval` report.csv; a directory in the way of either
+    "loss_log_csv_is_a_directory": (_output("loss_log.csv"), os.makedirs),
+    "report_csv_is_a_directory": (_output("report.csv"), os.makedirs),
 }
 
 
@@ -367,9 +375,12 @@ def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
     target, damage = FILE_FAULTS[fault]
     named = target(data, ck, pred)
     damage(named)
-    source = ["--pred-dir", pred] if fault.startswith("prediction") else ["--checkpoint", ck]
+    if fault.startswith("loss_log"):
+        command = ["train"]
+    else:
+        command = ["eval", *(["--pred-dir", pred] if fault.startswith("prediction") else ["--checkpoint", ck])]
     capsys.readouterr()
-    code = cli.main(["eval", "--config", one_step_run["cfg"], "--data", data, *source, "--out", str(tmp_path / "o")])
+    code = cli.main([*command, "--config", one_step_run["cfg"], "--data", data, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3, err
     lines = err.splitlines()

@@ -14,7 +14,7 @@ import pytest
 from trisal import errors
 from trisal import model as M
 from trisal import tensor as T
-from trisal.errors import ConfigError, ContractError, DataError
+from trisal.errors import ConfigError, ContractError, DataError, NumericalError
 from trisal.tensor import Tensor
 
 
@@ -244,6 +244,21 @@ def test_parameter_groups_cover_everything():
     assert any(".aspp." in n for n in heads) and any(".cp." in n for n in heads)
 
 
+def test_sgd_step_is_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(19)
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((3, 4), (5,))]
+    opt = M.SGD([(params[:1], 0.1), (params[1:], 0.03)], momentum=0.9, weight_decay=5e-4)
+    data, vel = [p.data.copy() for p in params], [np.zeros_like(p.data) for p in params]
+    for _ in range(3):
+        for p in params:
+            p.grad[...] = rng.normal(size=p.grad.shape)
+        opt.step()
+        for i, (p, lr) in enumerate(zip(params, (0.1, 0.03))):
+            vel[i] = 0.9 * vel[i] + (p.grad + 5e-4 * data[i])
+            data[i] = data[i] - lr * vel[i]
+            assert p.data.tobytes() == data[i].tobytes()
+
+
 def test_one_step_reduces_loss_on_same_batch():
     samples = make_samples(2, seed=11)
     cfg = small_config(lr_backbone=1e-3, lr_head=1e-3)
@@ -308,6 +323,28 @@ def test_train_step_builds_the_loss_once(monkeypatch):
     outputs, gt = calls[0]
     assert total == float(M.loss_total(outputs, gt).data)
     assert per_level == [float(l.data) for l in M.level_losses(outputs, gt)]
+
+
+def test_non_finite_gradient_stops_the_step_before_sgd(monkeypatch):
+    samples = make_samples(2, seed=18)
+    cfg = small_config()
+    model = M.build(cfg)
+    opt = M.make_optimizer(model, cfg)
+    params = list(model.named_parameters())
+    run_backward = T.Tape.run_backward
+
+    def planted(tape, loss):  # the loss stays finite; two gradients do not
+        run_backward(tape, loss)
+        params[5][1].grad.flat[0] = np.nan
+        params[9][1].grad.flat[0] = np.inf
+
+    monkeypatch.setattr(T.Tape, "run_backward", planted)
+    before = [p.data.copy() for _, p in params]
+    with pytest.raises(NumericalError, match=f"non-finite gradient at step 3 in parameter '{re.escape(params[5][0])}'"):
+        M.train_step(model, opt, M.make_batch(samples, [0, 1]), step=3)
+    for (_, p), b in zip(params, before):
+        assert p.data.tobytes() == b.tobytes()
+    assert not any(v.any() for vels in opt.velocity for v in vels)
 
 
 def test_fit_log_deterministic():

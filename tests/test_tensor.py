@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trisal import tensor as T
@@ -104,6 +104,128 @@ def test_conv2d_strided_gradient():
     assert T.grad_check(f, x) <= 1e-6
 
 
+def conv_oracle(x, w, g, stride, dilation, padding):
+    """Tap-by-tap im2col conv over every k*k tap of an ``np.pad``-ded input,
+    one GEMM per batch item: the output and (dx, dW) for upstream ``g``."""
+    b, c, h, wid = x.shape
+    o, _, k, _ = w.shape
+    oh = (h + 2 * padding - dilation * (k - 1) - 1) // stride + 1
+    ow = (wid + 2 * padding - dilation * (k - 1) - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    taps = [
+        (i, j, np.s_[:, :, i * dilation : i * dilation + stride * oh : stride, j * dilation : j * dilation + stride * ow : stride])
+        for i in range(k)
+        for j in range(k)
+    ]
+    cols = np.empty((b, c, k, k, oh, ow))
+    for i, j, window in taps:
+        cols[:, :, i, j] = xp[window]
+    cols = cols.reshape(b, c * k * k, oh * ow)
+    out = np.matmul(w.reshape(o, -1), cols).reshape(b, o, oh, ow)
+    gl = g.reshape(b, o, oh * ow)
+    dw = np.tensordot(gl, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    dcols = np.matmul(w.reshape(o, -1).T, gl).reshape(b, c, k, k, oh, ow)
+    gxp = np.zeros_like(xp)
+    for i, j, window in taps:
+        gxp[window] += dcols[:, :, i, j]
+    return out, gxp[:, :, padding : padding + h, padding : padding + wid], dw
+
+
+def conv_engine(x, w, g, stride, dilation, padding):
+    """``T.conv2d`` with no bias: the output and its backward of ``g``."""
+    with T.Tape() as tape:
+        out = T.conv2d(T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True), None, stride, dilation, padding)
+    dx, dw = tape.ops[-1].backward_fn(g)
+    return out.data, dx, dw
+
+
+def conv_disagreement(x, w, stride, dilation, padding, seed=0):
+    """Worst relative difference, each array against its largest oracle entry,
+    between ``T.conv2d`` and ``conv_oracle`` over the output, dx and dW."""
+    g = np.random.default_rng(seed).normal(size=T.conv2d(T.Tensor(x), T.Tensor(w), None, stride, dilation, padding).shape)
+    worst = 0.0
+    for got, ref in zip(conv_engine(x, w, g, stride, dilation, padding), conv_oracle(x, w, g, stride, dilation, padding)):
+        assert got.shape == ref.shape
+        worst = max(worst, float(np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)))
+    return worst
+
+
+def default_model_conv_calls(monkeypatch):
+    """(input shape, kernel shape, stride, dilation, padding) of every distinct
+    conv in one train-mode forward of the Full model at the default config."""
+    from trisal import model as M
+
+    calls = set()
+    conv2d = T.conv2d
+
+    def recorded(x, w, bias, stride=1, dilation=1, padding=0):
+        calls.add((x.shape, w.shape, stride, dilation, padding))
+        return conv2d(x, w, bias, stride, dilation, padding)
+
+    monkeypatch.setattr(T, "conv2d", recorded)
+    cfg = M.ModelConfig()
+    rng = np.random.default_rng(0)
+    size = (cfg.batch_size, 3, cfg.input_size, cfg.input_size)
+    M.build(cfg).train()(*(T.Tensor(rng.uniform(0, 1, size)) for _ in range(3)))
+    monkeypatch.undo()
+    return sorted(calls)
+
+
+def test_conv2d_agrees_with_im2col_oracle_on_every_model_shape(monkeypatch):
+    calls = default_model_conv_calls(monkeypatch)
+    assert len(calls) >= 40
+    rng = np.random.default_rng(41)
+    for xs, ws, stride, dilation, padding in calls:
+        x, w = rng.normal(size=xs), rng.normal(size=ws)
+        err = conv_disagreement(x, w, stride, dilation, padding)
+        assert err <= 1e-13, (xs, ws, stride, dilation, padding, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 2), st.integers(1, 3), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+    st.sampled_from([1, 2, 3]), st.integers(1, 3), st.integers(1, 6), st.integers(0, 8), st.integers(0, 2**16),
+)
+def test_conv2d_dead_taps_match_full_tap_oracle(b, c, o, h, wid, k, stride, dilation, padding, seed):
+    """Windows wholly in the padding are skipped, so their dW entries are 0
+    and the rest agrees with every tap computed; padding 8 against maps of
+    1-7 with dilations up to 6 leaves whole rows and columns of taps dead."""
+    assume(min(h, wid) + 2 * padding - dilation * (k - 1) >= 1)
+    rng = np.random.default_rng(seed)
+    x, w = rng.normal(size=(b, c, h, wid)), rng.normal(size=(o, c, k, k))
+    assert conv_disagreement(x, w, stride, dilation, padding, seed) <= 1e-12
+
+
+def test_conv2d_tap_reading_only_padding_gets_zero_weight_gradient():
+    # 2x2 map, dilation 8, padding 8: the eight off-centre taps read only padding,
+    # as in the ASPP branches at the deepest level.
+    rng = np.random.default_rng(42)
+    x, w = rng.normal(size=(2, 3, 2, 2)), rng.normal(size=(4, 3, 3, 3))
+    g = rng.normal(size=(2, 4, 2, 2))
+    out, dx, dw = conv_engine(x, w, g, 1, 8, 8)
+    ref = conv_engine(x, w[:, :, 1:2, 1:2], g, 1, 1, 0)
+    npt.assert_array_equal(out, ref[0])
+    npt.assert_array_equal(dx, ref[1])
+    npt.assert_array_equal(dw[:, :, 1, 1], ref[2][:, :, 0, 0])
+    dw[:, :, 1, 1] = 0.0
+    assert not dw.any()
+    # Stride 3 past a 1x1 map with padding 1: the only tap reads padding.
+    out, dx, dw = conv_engine(x[:, :, :1, :1], w[:, :, :1, :1], np.ones((2, 4, 1, 1)), 3, 1, 1)
+    assert not out.any() and not dx.any() and not dw.any()
+
+
+def test_conv2d_backward_accepts_non_contiguous_gradient():
+    rng = np.random.default_rng(43)
+    x, w = rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3))
+    wide = rng.normal(size=(2, 4, 12, 12))
+    for g in (wide[:, :, ::2, ::2], np.ascontiguousarray(wide[:, :, :6, :6].transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)):
+        assert not g.flags.c_contiguous
+        got = conv_engine(x, w, g, 1, 1, 1)
+        ref = conv_engine(x, w, np.ascontiguousarray(g), 1, 1, 1)
+        for a, r in zip(got[1:], ref[1:]):
+            npt.assert_allclose(a, r, rtol=1e-13, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # batchnorm2d
 
@@ -182,6 +304,25 @@ def test_batchnorm_bad_mode():
     gamma, beta, stats = _bn_params(1)
     with pytest.raises(ContractError):
         T.batchnorm2d(T.Tensor(np.zeros((1, 1, 2, 2))), gamma, beta, stats, "frozen")
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_channel_major_view_matches_contiguous_copy(mode):
+    """A conv output is a (B, C, H, W) view of a (C, B, H, W) array; BN gives
+    the same output, running stats and gradients on it as on a C-contiguous copy."""
+    rng = np.random.default_rng(44)
+    view = np.ascontiguousarray(rng.normal(2.0, 3.0, (4, 3, 5, 6)).transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    assert not view.flags.c_contiguous
+    gamma, g = rng.uniform(0.5, 1.5, 3), rng.normal(size=view.shape)
+    results = []
+    for xd in (view, np.ascontiguousarray(view)):
+        params = [T.Tensor(v, requires_grad=True) for v in (xd, gamma, np.full(3, 0.1))]
+        stats = (T.Tensor(np.full(3, 0.5)), T.Tensor(np.full(3, 2.0)))
+        with T.Tape() as tape:
+            out = T.batchnorm2d(*params, stats, mode)
+        results.append((out.data, stats[0].data, stats[1].data, *tape.ops[-1].backward_fn(g)))
+    for a, b in zip(*results):
+        npt.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)))
 
 
 # ---------------------------------------------------------------------------
