@@ -28,7 +28,7 @@ err = T.grad_check(lambda t: T.sum_all(T.mul(T.sigmoid(T.matmul(T.relu(T.matmul(
 print("finite-difference rel err on w1:", f"{err:.2e}")
 
 # Gradients accumulate across backward passes until cleared.
-w2.grad[:] = 0.0
+w2.grad = None
 for _ in range(2):
     with Tape():
         T.sum_all(T.matmul(Tensor(np.ones((1, 5))), w2)).backward()

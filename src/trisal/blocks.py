@@ -90,8 +90,9 @@ class Module:
             t.data[...] = data
 
     def zero_grad(self):
+        """Drop every parameter's gradient; the next backward creates it anew."""
         for p in self.parameters():
-            p.zero_grad()
+            p.grad = None
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

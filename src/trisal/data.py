@@ -371,10 +371,21 @@ def warp_backward(image, flow):
 # file formats
 
 
+@contextlib.contextmanager
+def _frame_file(path):
+    """``path`` open for writing a frame, with no temporary file or sync: the manifest
+    comes last and readers check lengths. A failed write is one ``DataError`` naming the path."""
+    try:
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def _write_pnm(path, planes, magic):
     """planes: uint8 (H, W) for P5 or (H, W, 3) for P6."""
     h, w = planes.shape[:2]
-    with open(path, "wb") as fh:
+    with _frame_file(path) as fh:
         fh.write(f"{magic}\n{w} {h}\n255\n".encode())
         fh.write(planes.tobytes())
 
@@ -423,7 +434,7 @@ def write_flo(path, flow):
     inter = np.empty((h, w, 2), dtype="<f4")
     inter[:, :, 0] = flow[0]
     inter[:, :, 1] = flow[1]
-    with open(path, "wb") as fh:
+    with _frame_file(path) as fh:
         fh.write(b"PIEH")
         fh.write(struct.pack("<ii", w, h))
         fh.write(inter.tobytes())

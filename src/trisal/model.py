@@ -229,18 +229,13 @@ def loss_total(outputs, gt):
 
 class SGD:
     """Momentum SGD with decoupled parameter groups and L2 weight decay
-    folded into the gradient."""
+    folded into the gradient. A parameter whose ``grad`` is None is left as it is."""
 
     def __init__(self, groups, momentum=0.9, weight_decay=5e-4):
         self.groups = [(list(params), lr) for params, lr in groups]
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = [[np.zeros_like(p.data) for p in params] for params, _ in self.groups]
-
-    def zero_grad(self):
-        for params, _ in self.groups:
-            for p in params:
-                p.zero_grad()
 
     def step(self):
         for (params, lr), vels in zip(self.groups, self.velocity):
@@ -289,7 +284,7 @@ def make_batch(samples, indices):
 
 def train_step(model, optimizer, batch, step=None):
     rgb, depth, flow, gt = batch
-    optimizer.zero_grad()
+    model.zero_grad()
     model.train()
     with T.Tape() as tape:
         outputs = model(rgb, depth, flow)
@@ -301,7 +296,7 @@ def train_step(model, optimizer, batch, step=None):
             raise NumericalError(f"non-finite loss at step {step}: first non-finite tensor from {where}")
         total.backward()
     for name, p in model.named_parameters():
-        if not np.isfinite(p.grad).all():
+        if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericalError(f"non-finite gradient at step {step} in parameter '{name}'; parameters not updated")
     optimizer.step()
     return float(total.data), [float(l.data) for l in per_level]

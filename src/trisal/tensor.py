@@ -23,25 +23,21 @@ _TAPES = []  # innermost active tape last
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients.
 
-    ``grad`` is allocated eagerly for leaves created with
-    ``requires_grad=True`` and is always the same shape as ``data``.
-    Intermediate results carry ``requires_grad`` so recording propagates, but
-    their gradients live only inside the backward pass.
+    ``grad`` is the only gradient store: it is None until backward writes an
+    array of ``data``'s shape into it, and backward accumulates into it until
+    it is set back to None. Intermediate results carry ``requires_grad`` so
+    recording propagates; backward clears their ``grad`` once it has used it.
     """
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
         self.tape = None  # the tape that recorded this tensor, if one did
 
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def backward(self):
         backward(self)
@@ -55,14 +51,17 @@ def _wrap(x):
 
 
 class _OpRecord:
-    __slots__ = ("name", "inputs", "output_id", "out_data", "backward_fn")
+    __slots__ = ("name", "inputs", "out", "backward_fn")
 
-    def __init__(self, name, inputs, output_id, out_data, backward_fn):
+    def __init__(self, name, inputs, out, backward_fn):
         self.name = name
         self.inputs = inputs
-        self.output_id = output_id
-        self.out_data = out_data
+        self.out = out
         self.backward_fn = backward_fn
+
+    @property
+    def out_data(self):
+        return self.out.data
 
 
 class Tape:
@@ -71,8 +70,9 @@ class Tape:
     Use as a context manager around the forward pass, then call
     ``backward(loss)`` (or ``loss.backward()``). A tape can be consumed by
     backward exactly once. A tensor recorded by this tape has ``tape`` set to
-    it; every other input, including a tensor recorded by another tape, is a
-    leaf whose gradient accumulates into ``grad``.
+    it, and backward clears its ``grad`` once used; every other input,
+    including a tensor recorded by another tape, is a leaf and keeps its
+    ``grad``.
     """
 
     def __init__(self):
@@ -91,7 +91,7 @@ class Tape:
     def record(self, name, inputs, out, backward_fn):
         out.tape = self
         self._counts[name] += 1
-        self.ops.append(_OpRecord(name, inputs, id(out), out.data, backward_fn))
+        self.ops.append(_OpRecord(name, inputs, out, backward_fn))
 
     def op_counts(self):
         """Counter of op names recorded so far (instrumentation hook)."""
@@ -110,27 +110,18 @@ class Tape:
         if loss.data.ndim != 0:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         self.finished = True
-        # Gradients are keyed by id() of the loss and of recorded inputs. Such a
-        # tensor lives from its creation to the end of the forward, so only an
-        # output that died before it was made can share its id, and that
-        # record comes earlier, after the key has been popped. Popping records
-        # frees what only they hold and breaks the tensor -> tape cycle.
-        grads = {id(loss): np.ones((), dtype=np.float64)}
+        # Every record comes after those of its inputs, so an output's grad is
+        # complete when its record is popped. Taking it clears it, and popping
+        # records frees what only they hold and breaks the tensor -> tape cycle.
+        loss.grad = np.ones((), dtype=np.float64)
         while self.ops:
             op = self.ops.pop()
-            g = grads.pop(op.output_id, None)
+            g, op.out.grad = op.out.grad, None
             if g is None:
                 continue
             for t, gi in zip(op.inputs, op.backward_fn(g)):
-                if gi is None or not t.requires_grad:
-                    continue
-                if t.tape is self:
-                    key = id(t)
-                    grads[key] = grads[key] + gi if key in grads else gi
-                else:  # leaf: accumulate into its grad buffer
-                    if t.grad is None:
-                        t.grad = np.zeros_like(t.data)
-                    t.grad += gi
+                if gi is not None and t.requires_grad:
+                    t.grad = gi if t.grad is None else t.grad + gi
 
 
 def backward(loss):
@@ -529,10 +520,8 @@ def grad_check(f, x, step=1e-5):
     ``f`` maps a Tensor to a scalar Tensor and must be smooth at ``x`` (keep
     inputs away from relu and clamp kinks).
     """
-    if x.grad is None:
-        x.requires_grad = True
-        x.grad = np.zeros_like(x.data)
-    x.zero_grad()
+    x.requires_grad = True
+    x.grad = None
     with Tape():
         y = f(x)
         y.backward()

@@ -293,6 +293,13 @@ def _ones_in_first_1x1_conv(fill):
     return _edit_header(edit)
 
 
+def _directory_in_place(path):
+    """A directory where the command will write the file ``path``."""
+    if os.path.exists(path):
+        os.remove(path)
+    os.makedirs(path)
+
+
 def _ck(data, ck, pred):
     return ck
 
@@ -348,6 +355,9 @@ FILE_FAULTS = {
     # `train` writes loss_log.csv, `eval` report.csv; a directory in the way of either
     "loss_log_csv_is_a_directory": (_output("loss_log.csv"), os.makedirs),
     "report_csv_is_a_directory": (_output("report.csv"), os.makedirs),
+    # `gen-data` writes frames into the dataset, `predict` maps under o/pred
+    "gen_data_frame_is_a_directory": (_frame("rgb", "0000.ppm"), _directory_in_place),
+    "predict_map_is_a_directory": (_output(os.path.join("pred", "clip00", "0000.pgm")), _directory_in_place),
 }
 
 
@@ -375,12 +385,18 @@ def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
     target, damage = FILE_FAULTS[fault]
     named = target(data, ck, pred)
     damage(named)
-    if fault.startswith("loss_log"):
-        command = ["train"]
+    out = str(tmp_path / "o")
+    if fault.startswith("gen_data"):
+        command = ["gen-data", "--out", data]
+    elif fault.startswith("loss_log"):
+        command = ["train", "--data", data, "--out", out]
+    elif fault.startswith("predict_"):
+        command = ["predict", "--checkpoint", ck, "--data", data, "--out", out]
     else:
-        command = ["eval", *(["--pred-dir", pred] if fault.startswith("prediction") else ["--checkpoint", ck])]
+        source = ["--pred-dir", pred] if fault.startswith("prediction") else ["--checkpoint", ck]
+        command = ["eval", *source, "--data", data, "--out", out]
     capsys.readouterr()
-    code = cli.main([*command, "--config", one_step_run["cfg"], "--data", data, "--out", str(tmp_path / "o")])
+    code = cli.main([*command, "--config", one_step_run["cfg"]])
     err = capsys.readouterr().err
     assert code == 3, err
     lines = err.splitlines()

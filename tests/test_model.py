@@ -125,8 +125,10 @@ def test_forward_rejects_mismatched_modalities():
         model(rgb, depth, flow)
 
 
-def test_full_all_parameters_get_finite_gradients():
-    model = M.build(small_config())
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_every_parameter_gets_a_finite_gradient(variant):
+    # backward creates each grad it reaches, so a parameter it misses would keep None
+    model = M.build(small_config(variant=variant))
     rgb, depth, flow = rand_inputs(seed=5)
     gt = Tensor((np.random.default_rng(6).uniform(0, 1, (1, 1, 64, 64)) > 0.6).astype(np.float64))
     with T.Tape():
@@ -251,12 +253,34 @@ def test_sgd_step_is_the_textbook_update_bit_for_bit():
     data, vel = [p.data.copy() for p in params], [np.zeros_like(p.data) for p in params]
     for _ in range(3):
         for p in params:
-            p.grad[...] = rng.normal(size=p.grad.shape)
+            p.grad = rng.normal(size=p.data.shape)
         opt.step()
         for i, (p, lr) in enumerate(zip(params, (0.1, 0.03))):
             vel[i] = 0.9 * vel[i] + (p.grad + 5e-4 * data[i])
             data[i] = data[i] - lr * vel[i]
             assert p.data.tobytes() == data[i].tobytes()
+
+
+def test_on_step_reads_the_gradients_of_the_step_that_just_ended():
+    samples = make_samples(3, seed=20)
+    cfg = small_config(steps=2)
+    model = M.build(cfg)
+    seen = []
+
+    def on_step(step, loss):
+        seen.append({n: p.grad.copy() for n, p in model.named_parameters()})
+
+    M.fit(model, samples, cfg, on_step=on_step)
+    replay = M.build(cfg)
+    opt = M.make_optimizer(replay, cfg)
+    order = np.random.default_rng(cfg.seed + 1)
+    for step, grads in enumerate(seen):
+        M.train_step(replay, opt, M.make_batch(samples, order.integers(0, len(samples), size=cfg.batch_size)))
+        params = dict(replay.named_parameters())
+        assert grads.keys() == params.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == params[name].grad.tobytes(), (step, name)
+    assert any(not np.array_equal(seen[0][n], seen[1][n]) for n in seen[0])
 
 
 def test_one_step_reduces_loss_on_same_batch():

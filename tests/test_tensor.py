@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trisal import tensor as T
+from trisal.blocks import Module
 from trisal.errors import ContractError, ShapeError
 
 
@@ -412,6 +413,28 @@ def test_concat_channels_roundtrip():
     npt.assert_array_equal(out.data[:, 3:], b.data)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_concat_channels_splits_back_into_its_pieces(channels, b, h, w, seed):
+    # forward stacks the pieces; backward of a known upstream gradient cuts it into theirs
+    rng = np.random.default_rng(seed)
+    pieces = [T.Tensor(rng.normal(size=(b, c, h, w)), requires_grad=True) for c in channels]
+    upstream = rng.normal(size=(b, sum(channels), h, w))
+    with T.Tape():
+        out = T.concat_channels(pieces)
+        T.sum_all(T.mul(out, T.Tensor(upstream))).backward()
+    ends = np.cumsum(channels)
+    for piece, end, c in zip(pieces, ends, channels):
+        assert out.data[:, end - c : end].tobytes() == piece.data.tobytes()
+        assert piece.grad.tobytes() == np.ascontiguousarray(upstream[:, end - c : end]).tobytes()
+
+
 def test_concat_channels_mismatch():
     with pytest.raises(ShapeError):
         T.concat_channels([rand(2, 3, 4, 4), rand(2, 3, 5, 4)])
@@ -546,7 +569,32 @@ def test_tensor_from_another_tape_is_a_leaf():
         loss = T.sum_all(T.mul(y, y))
     loss.backward()
     npt.assert_array_equal(y.grad, 2.0 * y.data)
-    npt.assert_array_equal(x.grad, np.zeros((2, 2)))  # first tape was never run backward
+    assert x.grad is None  # first tape was never run backward
+
+
+def test_leaf_grad_is_made_by_backward_summed_over_passes_and_dropped_by_zero_grad():
+    m = Module()
+    m.w = rand(2, 3, seed=44)
+    assert m.w.grad is None
+    once = m.w.data + m.w.data  # d/dw sum(w * w), as mul's backward sums its two halves
+    for _ in range(2):
+        with T.Tape():
+            loss = T.sum_all(T.mul(m.w, m.w))
+        loss.backward()
+    npt.assert_array_equal(m.w.grad, once + once)
+    m.zero_grad()
+    assert m.w.grad is None
+
+
+def test_recorded_tensors_hold_no_grad_after_backward():
+    x = rand(2, 3, seed=45)
+    with T.Tape():
+        h = T.relu(x)
+        unused = T.sigmoid(h)
+        loss = T.sum_all(T.mul(h, h))
+    loss.backward()
+    assert all(t.grad is None for t in (h, unused, loss))
+    npt.assert_array_equal(x.grad, 2.0 * h.data * (x.data > 0))
 
 
 def test_backward_releases_records():
