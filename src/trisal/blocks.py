@@ -122,16 +122,14 @@ class ModuleList(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, padding=0, bias=True):
+    def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, bias=True):
         super().__init__()
-        self.stride = stride
-        self.dilation = dilation
-        self.padding = padding
+        self.stride, self.dilation = stride, dilation
         self.weight = _uniform_fan_in(rng, (out_ch, in_ch, k, k), in_ch * k * k)
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
 
     def forward(self, x):
-        return T.conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding)
+        return T.conv2d(x, self.weight, self.bias, self.stride, self.dilation)
 
 
 class BatchNorm2d(Module):
@@ -153,7 +151,7 @@ class ConvBN(Module):
 
     def __init__(self, in_ch, out_ch, rng, k=3, stride=1, dilation=1):
         super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, k, rng, stride, dilation, padding=dilation * (k - 1) // 2, bias=False)
+        self.conv = Conv2d(in_ch, out_ch, k, rng, stride, dilation, bias=False)
         self.bn = BatchNorm2d(out_ch)
 
     def forward(self, x):

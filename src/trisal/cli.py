@@ -47,6 +47,15 @@ def _all_samples(clips):
     return samples
 
 
+def _read_dataset(path, config):
+    """The clips at ``path``; frames other than ``config.input_size`` square are a config error."""
+    clips = D.read_dataset(path)
+    for clip in clips:
+        if clip.spec.size != config.input_size:
+            raise ConfigError(f"{clip.name}: {clip.spec.size} px frames, but the model's input_size is {config.input_size}")
+    return clips
+
+
 def _write_loss_log(path, rows):
     lines = (",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows)
     write_bytes(path, [b"step,loss,l1,l2,l3,l4,l5\n", *(line.encode() for line in lines)])
@@ -79,7 +88,7 @@ def cmd_train(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     data_dir = args.data or cfg.data_dir
-    clips = D.read_dataset(data_dir)
+    clips = _read_dataset(data_dir, cfg.model)
     samples = _all_samples(clips)
     model = M.build(cfg.model)
     rows = M.fit(model, samples, cfg.model)
@@ -103,9 +112,8 @@ def _eval_report(args, cfg):
                 frames.append((_read_pnm(p, "P5", gt.shape[0]).astype(np.float64) / 255.0, gt))
             sequences.append((name, frames))
     else:
-        clips = D.read_dataset(data_dir)
         model, _ = M.load_checkpoint(args.checkpoint)
-        sequences = _sequences_from_model(model, clips)
+        sequences = _sequences_from_model(model, _read_dataset(data_dir, model.config))
     return MT.evaluate_sequences(sequences, cfg.metrics)
 
 
@@ -126,8 +134,8 @@ def cmd_eval(args):
 def cmd_predict(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
-    clips = D.read_dataset(args.data or cfg.data_dir)
     model, _ = M.load_checkpoint(args.checkpoint)
+    clips = _read_dataset(args.data or cfg.data_dir, model.config)
     for clip in clips:
         clip_dir = os.path.join(out, "pred", clip.name)
         os.makedirs(clip_dir, exist_ok=True)
@@ -158,9 +166,9 @@ def cmd_gradcheck(args):
 def cmd_ablate(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
-    clips = D.read_dataset(args.data or cfg.data_dir)
+    clips = _read_dataset(args.data or cfg.data_dir, cfg.model)
     samples = _all_samples(clips)
-    eval_clips = D.read_dataset(args.eval_data) if args.eval_data else clips
+    eval_clips = _read_dataset(args.eval_data, cfg.model) if args.eval_data else clips
     os.makedirs(out, exist_ok=True)
     echo_config(cfg, out)
     log_dir = os.path.join(out, "logs")

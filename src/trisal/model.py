@@ -124,7 +124,7 @@ class SaliencyModel(Module):
 
         self.dec_top = BConv(c, c, rng)
         self.dec = ModuleList([BConv(2 * c, c, rng) for _ in range(4)])  # levels 4..1
-        self.heads = ModuleList([Conv2d(c, 1, 3, rng, padding=1) for _ in range(5)])
+        self.heads = ModuleList([Conv2d(c, 1, 3, rng) for _ in range(5)])
 
     def parameter_count(self):
         return sum(p.data.size for p in self.parameters())

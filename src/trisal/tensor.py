@@ -9,6 +9,8 @@ evaluation and finite differencing use.
 Layout: ``conv2d`` and ``batchnorm2d`` return their (B, C, H, W) output, and ``conv2d``
 its input gradient, as a transposed view of a contiguous (C, B, H, W) array, so conv -> BN
 -> ReLU -> conv copies nothing. No ``data`` or gradient is promised to be C-contiguous.
+``conv2d`` is always same-padded; its input gradient goes through its forward's routine, and
+is skipped for an input that needs none, such as the frames the encoder stems read.
 """
 
 from collections import Counter
@@ -344,53 +346,51 @@ def softmax_rows(x):
 # spatial ops
 
 
-def conv2d(x, w, bias, stride=1, dilation=1, padding=0):
-    """Cross-correlation of (B, C, H, W) with (O, C, k, k) plus per-channel bias, if not None."""
+def _correlate(xc, wd, stride, dilation):
+    """Same-padded correlation of channel-major (C, B, H, W) ``xc`` with (O, C, k, k) ``wd``: the
+    (B, O, oh, ow) output as a view, the live taps' columns, and the live taps' index into ``wd``."""
+    (c, b_, h, wid), (o, _, k, _) = xc.shape, wd.shape
+    p, out_h, out_w = dilation * (k - 1) // 2, -(-h // stride), -(-wid // stride)
+    # Tap (i, j) reads the strided window of xp at offset (i, j) * dilation. Along each axis only
+    # taps [i0, i1) meet the input, the centre tap always; the rest read only padding, as atrous
+    # taps do once the rate nears the map size (DeepLabv3 §3.3), and are skipped.
+    i0, j0 = (max(0, -((stride * (m - 1) - p) // dilation)) for m in (out_h, out_w))
+    i1, j1 = (min(k, (p + n - 1) // dilation + 1) for n in (h, wid))
+    xp = np.zeros((c, b_, h + 2 * p, wid + 2 * p))  # padded; faster than np.pad
+    xp[:, :, p : p + h, p : p + wid] = xc
+    cols = np.empty((c, i1 - i0, j1 - j0, b_, out_h, out_w))
+    for i in range(i0, i1):
+        for j in range(j0, j1):
+            cols[:, i - i0, j - j0] = xp[:, :, i * dilation :: stride, j * dilation :: stride][:, :, :out_h, :out_w]
+    cols = cols.reshape(-1, b_ * out_h * out_w)
+    live = np.s_[:, :, i0:i1, j0:j1]
+    return (wd[live].reshape(o, -1) @ cols).reshape(o, b_, out_h, out_w).transpose(1, 0, 2, 3), cols, live
+
+
+def conv2d(x, w, bias, stride=1, dilation=1):
+    """Same-padded cross-correlation of (B, C, H, W) with (O, C, k, k), k odd, plus per-channel bias if not None,
+    to ceil(H / stride) x ceil(W / stride); dx is g correlated with w flipped and transposed (Dumoulin & Visin 2016)."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input and kernel, got {xd.shape} and {wd.shape}")
-    b_, c, h, wid = xd.shape
-    o, cw, k, k2 = wd.shape
-    if k != k2 or cw != c:
-        raise ShapeError(f"conv2d: kernel {wd.shape} does not match input {xd.shape}")
-    out_h = (h + 2 * padding - dilation * (k - 1) - 1) // stride + 1
-    out_w = (wid + 2 * padding - dilation * (k - 1) - 1) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"conv2d: output extent {out_h}x{out_w} for input {xd.shape}, kernel {k}, "
-            f"stride {stride}, dilation {dilation}, padding {padding}"
-        )
-    # Tap (i, j) reads the strided window of xp at offset (i, j) * dilation. Along each axis only
-    # taps [i0, i1) meet the input; the rest read only padding, as atrous taps do once the rate
-    # nears the map size (DeepLabv3 §3.3). The column fill and the backward scatter walk `taps`.
-    i0, j0 = (max(0, -((stride * (m - 1) - padding) // dilation)) for m in (out_h, out_w))
-    i1, j1 = (max(a, min(k, (padding + n - 1) // dilation + 1)) for a, n in ((i0, h), (j0, wid)))
-    xp = np.zeros((c, b_, h + 2 * padding, wid + 2 * padding))  # (C, B, H, W), padded; faster than np.pad
-    xp[:, :, padding : padding + h, padding : padding + wid] = xd.transpose(1, 0, 2, 3)
-    taps = [
-        (i - i0, j - j0, np.s_[:, :, i * dilation : i * dilation + stride * out_h : stride,
-                                     j * dilation : j * dilation + stride * out_w : stride])
-        for i in range(i0, i1)
-        for j in range(j0, j1)
-    ]
-    cols = np.empty((c, i1 - i0, j1 - j0, b_, out_h, out_w))
-    for i, j, window in taps:
-        cols[:, i, j] = xp[window]
-    cols = cols.reshape(-1, b_ * out_h * out_w)
-    wk = wd[:, :, i0:i1, j0:j1].reshape(o, -1)
-    out = (wk @ cols).reshape(o, b_, out_h, out_w).transpose(1, 0, 2, 3)
+    (b_, c, h, wid), (o, cw, k, k2) = xd.shape, wd.shape
+    if k != k2 or k % 2 == 0 or cw != c:
+        raise ShapeError(f"conv2d: kernel {wd.shape} must be square, odd-sided and over the channels of {xd.shape}")
+    out, cols, live = _correlate(xd.transpose(1, 0, 2, 3), wd, stride, dilation)
     if bias is not None:
         out += bias.data[:, None, None]
 
     def bwd(g):
-        gm = g.transpose(1, 0, 2, 3).reshape(o, -1)
+        gc = g.transpose(1, 0, 2, 3)
+        gm = gc.reshape(o, -1)
         dw = np.zeros_like(wd)
-        dw[:, :, i0:i1, j0:j1] = (gm @ cols.T).reshape(o, c, i1 - i0, j1 - j0)
-        dcols = (wk.T @ gm).reshape(c, i1 - i0, j1 - j0, b_, out_h, out_w)
-        gxp = np.zeros((c, b_, h + 2 * padding, wid + 2 * padding))
-        for i, j, window in taps:
-            gxp[window] += dcols[:, i, j]
-        dx = gxp[:, :, padding : padding + h, padding : padding + wid].transpose(1, 0, 2, 3)
+        dw[live] = (gm @ cols.T).reshape(dw[live].shape)
+        dx = None
+        if x.requires_grad:
+            if stride > 1:  # g zero-filled onto the input grid
+                gc = np.zeros((o, b_, h, wid))
+                gc[:, :, ::stride, ::stride] = g.transpose(1, 0, 2, 3)
+            dx = _correlate(gc, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, dilation)[0]
         return (dx, dw) if bias is None else (dx, dw, gm.sum(axis=1))
 
     return _make("conv2d", out, (x, w) if bias is None else (x, w, bias), bwd)

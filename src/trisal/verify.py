@@ -32,16 +32,10 @@ def op_checks():
         ("matmul_batched", T.grad_check(lambda t: _weighted_sum(T.matmul(t, wb), 6), xb), 1e-6)
     )
 
-    xc = _rand((2, 3, 8, 8), 7)
-    wc = _rand((4, 3, 3, 3), 8)
-    bc = _rand((4,), 9)
-    checks.append(
-        (
-            "conv2d",
-            T.grad_check(lambda t: _weighted_sum(T.conv2d(t, wc, bc, 1, 2, 2), 10), xc),
-            1e-6,
-        )
-    )
+    xc, wc, bc = _rand((2, 3, 8, 8), 7), _rand((4, 3, 3, 3), 8), _rand((4,), 9)
+    checks.append(("conv2d", T.grad_check(lambda t: _weighted_sum(T.conv2d(t, wc, bc, 1, 2), 10), xc), 1e-6))
+    xt, wt = _rand((1, 2, 7, 7), 30), _rand((3, 2, 3, 3), 31)  # stride 2: g is zero-filled in the backward
+    checks.append(("conv2d_strided", T.grad_check(lambda t: _weighted_sum(T.conv2d(t, wt, None, 2), 32), xt), 1e-6))
 
     xs = _rand((6, 6), 11)
     checks.append(("softmax_rows", T.grad_check(lambda t: _weighted_sum(T.softmax_rows(t), 12), xs), 1e-6))

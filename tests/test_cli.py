@@ -404,6 +404,30 @@ def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
     assert named in lines[0] and len(lines[0]) <= 500
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "ablate"])
+def test_frame_size_other_than_input_size_exits_2(one_step_run, tmp_path, capsys, command):
+    # 64 px frames against the 32 px model of the run config and its checkpoint
+    data = str(tmp_path / "data64")
+    cfg = tmp_path / "data64.json"
+    cfg.write_text(json.dumps({"clips": [{**TINY_RUN["clips"][0], "frames": 2, "size": 64}]}))
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", data]) == 0
+    source = {
+        "train": ["--data", data],
+        "eval": ["--data", data, "--checkpoint", one_step_run["ck"]],
+        "predict": ["--data", data, "--checkpoint", one_step_run["ck"]],
+        "ablate": ["--data", one_step_run["data"], "--eval-data", data],
+    }[command]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    code = cli.main([command, *source, "--config", one_step_run["cfg"], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR CONFIG:"), err
+    assert "64 px frames" in lines[0] and "input_size is 32" in lines[0], err
+    assert not out.exists()
+
+
 def test_eval_pred_dir_reads_only_masks(one_step_run, tmp_path, capsys):
     stripped = tmp_path / "stripped"
     shutil.copytree(one_step_run["data"], stripped)

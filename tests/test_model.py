@@ -371,6 +371,47 @@ def test_non_finite_gradient_stops_the_step_before_sgd(monkeypatch):
     assert not any(v.any() for vels in opt.velocity for v in vels)
 
 
+def test_non_finite_loss_names_its_first_op_and_updates_nothing():
+    samples = make_samples(2, seed=19)
+    cfg = small_config()
+    model = M.build(cfg)
+    opt = M.make_optimizer(model, cfg)
+    model.enc_rgb.stem.conv.weight.data.flat[0] = np.nan  # the first conv of the forward
+    before = [(n, p.data.tobytes()) for n, p in model.named_parameters()]
+    msg = "non-finite loss at step 0: first non-finite tensor from op 'conv2d' (record 0)"
+    with pytest.raises(NumericalError, match=re.escape(msg)):
+        M.train_step(model, opt, M.make_batch(samples, [0, 1]), step=0)
+    assert [(n, p.data.tobytes()) for n, p in model.named_parameters()] == before
+    assert not any(v.any() for vels in opt.velocity for v in vels)
+
+
+def test_train_step_computes_no_input_gradient_for_the_frames(monkeypatch):
+    samples = make_samples(2, seed=20)
+    cfg = small_config()
+    model = M.build(cfg)
+    batch = M.make_batch(samples, [0, 1])
+    conv2d, skipped = T.conv2d, []
+
+    def watched(x, *args):  # notes each input whose gradient the backward skips
+        out = conv2d(x, *args)
+        record = T._TAPES[-1].ops[-1]
+        backward_fn = record.backward_fn
+
+        def spied(g):
+            grads = backward_fn(g)
+            if grads[0] is None:
+                skipped.append(x)
+            return grads
+
+        record.backward_fn = spied
+        return out
+
+    monkeypatch.setattr(T, "conv2d", watched)
+    M.train_step(model, M.make_optimizer(model, cfg), batch, step=0)
+    assert [id(x) for x in skipped] == [id(t) for t in reversed(batch[:3])]
+    assert all(t.grad is None for t in batch)
+
+
 def test_fit_log_deterministic():
     samples = make_samples(3, seed=13)
     cfg = small_config(steps=3)
