@@ -28,10 +28,24 @@ drift = np.abs(y_aux[0].data - x_depth.data).mean()
 print("aux drift from residual input:", f"{drift:.4f}")
 
 # Refinement fusion mixes adapted streams with elementwise cross terms and
-# channel-attention gates; collect exposes the intermediates.
+# channel-attention gates. Wrapping a block's forward records its output.
 rfm = RefinementFusion(ch, n_aux=2, rng=np.random.default_rng(3))
 seen = {}
-fused = rfm(y_main, y_aux, collect=seen)
+
+
+def record(block, key):
+    forward = block.forward
+
+    def recording(*args):
+        seen[key] = forward(*args)
+        return seen[key]
+
+    block.forward = recording
+
+
+record(rfm.merge_main, "main_pre_gate")
+record(rfm.gate_main, "main_gated")
+fused = rfm(y_main, y_aux)
 print("fused:", fused.shape, "intermediates:", sorted(seen))
 print("gate effect (pre vs post):",
       f"{np.abs(seen['main_pre_gate'].data).mean():.4f}",

@@ -15,7 +15,7 @@ from .errors import (
     TrisalError,
     VerificationError,
 )
-from .metrics import MetricsConfig, evaluate_sequences, mae, max_f_measure, s_measure
+from .metrics import evaluate_sequences, mae, max_f_measure, s_measure
 from .model import (
     VARIANT_LABELS,
     VARIANTS,
@@ -37,7 +37,6 @@ __all__ = [
     "ConfigError",
     "ContractError",
     "DataError",
-    "MetricsConfig",
     "ModelConfig",
     "NumericalError",
     "RunConfig",

@@ -92,7 +92,6 @@ def cmd_train(args):
     samples = _all_samples(clips)
     model = M.build(cfg.model)
     rows = M.fit(model, samples, cfg.model)
-    os.makedirs(out, exist_ok=True)
     echo_config(cfg, out)
     _write_loss_log(os.path.join(out, "loss_log.csv"), rows)
     M.save_checkpoint(os.path.join(out, "checkpoint"), model, step=len(rows))
@@ -114,7 +113,7 @@ def _eval_report(args, cfg):
     else:
         model, _ = M.load_checkpoint(args.checkpoint)
         sequences = _sequences_from_model(model, _read_dataset(data_dir, model.config))
-    return MT.evaluate_sequences(sequences, cfg.metrics)
+    return MT.evaluate_sequences(sequences)
 
 
 def cmd_eval(args):
@@ -123,7 +122,6 @@ def cmd_eval(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     report = _eval_report(args, cfg)
-    os.makedirs(out, exist_ok=True)
     report.write_csv(os.path.join(out, "report.csv"))
     report.write_json(os.path.join(out, "report.json"))
     agg = report.aggregate
@@ -138,7 +136,6 @@ def cmd_predict(args):
     clips = _read_dataset(args.data or cfg.data_dir, model.config)
     for clip in clips:
         clip_dir = os.path.join(out, "pred", clip.name)
-        os.makedirs(clip_dir, exist_ok=True)
         for i, pred in enumerate(_predict_clip(model, clip)):
             _write_pnm(
                 os.path.join(clip_dir, f"{i:04d}.pgm"),
@@ -169,17 +166,15 @@ def cmd_ablate(args):
     clips = _read_dataset(args.data or cfg.data_dir, cfg.model)
     samples = _all_samples(clips)
     eval_clips = _read_dataset(args.eval_data, cfg.model) if args.eval_data else clips
-    os.makedirs(out, exist_ok=True)
     echo_config(cfg, out)
     log_dir = os.path.join(out, "logs")
-    os.makedirs(log_dir, exist_ok=True)
     results = []
     for variant, label in M.VARIANT_LABELS.items():
         vcfg = dataclasses.replace(cfg.model, variant=variant)
         model = M.build(vcfg)
         rows = M.fit(model, samples, vcfg)
         _write_loss_log(os.path.join(log_dir, f"{label}_loss.csv"), rows)
-        report = MT.evaluate_sequences(_sequences_from_model(model, eval_clips), cfg.metrics)
+        report = MT.evaluate_sequences(_sequences_from_model(model, eval_clips))
         agg = report.aggregate
         results.append((label, agg["max_f"], agg["s_measure"], agg["mae"]))
         print(f"{label}: max_f {agg['max_f']:.4f} s_measure {agg['s_measure']:.4f} mae {agg['mae']:.4f}")

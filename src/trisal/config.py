@@ -1,19 +1,28 @@
-"""Run configuration: one JSON document covering the model, the metrics, and
-the dataset/output paths. Every field has a default, so ``{}`` is a complete
+"""Run configuration: one JSON document covering the model and the
+dataset/output paths. Every field has a default, so ``{}`` is a complete
 config; unknown keys anywhere in the document are rejected."""
 
 import os
 from dataclasses import asdict, dataclass, field
 
 from .data import ClipSpec, preset_specs
-from .errors import ConfigError, read_json, reject_unknown_keys, write_json
-from .metrics import MetricsConfig
+from .errors import ConfigError, from_fields, read_json, write_json
 from .model import ModelConfig
+
+
+def _clip_specs(docs):
+    if not isinstance(docs, list):
+        raise ConfigError(f"clips must be a JSON list, got {docs!r:.80}")
+    return [ClipSpec.from_dict(d) for d in docs]
+
+
+# The fields of RunConfig that hold a nested document, and how each is parsed.
+NESTED = {"model": ModelConfig.from_dict, "clips": _clip_specs}
+
 
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
     preset: str = "overfit"
     clips: list = field(default_factory=list)  # explicit ClipSpecs override the preset
     data_dir: str = "data"
@@ -21,13 +30,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        reject_unknown_keys(d, cls, "config")
-        parse = {
-            "model": ModelConfig.from_dict,
-            "metrics": MetricsConfig.from_dict,
-            "clips": lambda clips: [ClipSpec.from_dict(c) for c in clips],
-        }
-        return cls(**{k: parse.get(k, lambda v: v)(v) for k, v in d.items()})
+        return from_fields(cls, d, "config", NESTED)
 
     def specs(self):
         """Clip specs to generate: explicit list if given, else the preset."""
@@ -43,7 +46,6 @@ def load_config(path=None):
 
 def echo_config(cfg, out_dir):
     """Write the fully resolved config next to the run's outputs."""
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.json")
     write_json(path, asdict(cfg))
     return path

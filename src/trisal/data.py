@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_bytes, read_json, reject_unknown_keys, write_json
+from .errors import ConfigError, DataError, from_fields, read_bytes, read_json, write_json
 
 BACKGROUNDS = ("flat", "textured", "cluttered", "moving")
 OBJECT_KINDS = ("rectangle", "ellipse")
@@ -38,6 +38,8 @@ class ClipSpec:
     speed: float = 2.0  # max object translation, px/frame (0 = static objects)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames}")
         if self.size < 16:
@@ -53,8 +55,7 @@ class ClipSpec:
 
     @classmethod
     def from_dict(cls, d):
-        reject_unknown_keys(d, cls, "clip spec")
-        return cls(**d)
+        return from_fields(cls, d, "clip spec")
 
 
 @dataclass(eq=False)
@@ -374,8 +375,10 @@ def warp_backward(image, flow):
 @contextlib.contextmanager
 def _frame_file(path):
     """``path`` open for writing a frame, with no temporary file or sync: the manifest
-    comes last and readers check lengths. A failed write is one ``DataError`` naming the path."""
+    comes last and readers check lengths. A missing parent directory is created. A
+    failed write is one ``DataError`` naming the path."""
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "wb") as fh:
             yield fh
     except OSError as exc:
@@ -470,15 +473,12 @@ class Clip:
 def write_dataset(clips, out_dir):
     """Write clips under ``out_dir``, one subdirectory per clip, then the
     manifest naming them in order; a write cut short leaves no manifest."""
-    os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.json")
-    with contextlib.suppress(FileNotFoundError):
+    with contextlib.suppress(FileNotFoundError, NotADirectoryError):
         os.remove(manifest)
     entries = []
     for clip in clips:
         base = os.path.join(out_dir, clip.name)
-        for sub in ("rgb", "gt", "depth", "flow"):
-            os.makedirs(os.path.join(base, sub), exist_ok=True)
         for i, s in enumerate(clip.samples):
             rgb8 = np.round(s.rgb * 255.0).astype(np.uint8).transpose(1, 2, 0)
             _write_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), np.ascontiguousarray(rgb8), "P6")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the unknown-key check that
-every config document goes through, and the one place where a file on disk
+"""Exception types shared across the package, the one parser that every
+config document goes through, and the one place where a file on disk
 becomes data or an error, and where data becomes a file."""
 
 import contextlib
@@ -36,11 +36,29 @@ class VerificationError(TrisalError):
     """A self-check (gradient check, invariant) failed."""
 
 
-def reject_unknown_keys(d, cls, what):
-    """Raise ConfigError naming every key of ``d`` that is not a field of ``cls``."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+def from_fields(cls, d, what, parse=None):
+    """``cls`` built from the JSON object ``d``, every key a field of ``cls``.
+    A field named in ``parse`` takes its function's result; any other value
+    has the type of the field's default, where an int stands for a float and
+    a bool is no number. Every fault is one ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r:.80}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
+    parse = parse or {}
+    values = {}
+    for k, v in d.items():
+        want = type(defaults[k])
+        if k in parse:
+            v = parse[k](v)
+        elif want is float and type(v) is int:
+            v = float(v)
+        elif type(v) is not want:
+            raise ConfigError(f"{what} field {k!r} must be {want.__name__}, got {v!r:.80}")
+        values[k] = v
+    return cls(**values)
 
 
 def read_bytes(path, error=DataError):
@@ -78,10 +96,12 @@ def parse_json(path, text, parse, error=DataError):
 def write_bytes(path, chunks):
     """Write the byte strings ``chunks`` through a temporary file, synced to
     disk before it replaces ``path``, so ``path`` holds either the old
-    contents or all the new ones. A failed write removes
-    the temporary file and is one ``DataError`` naming the path."""
+    contents or all the new ones. A missing parent directory is created. A
+    failed write removes the temporary file and is one ``DataError`` naming
+    the path."""
     tmp = f"{path}.tmp"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)

@@ -156,7 +156,7 @@ class RefinementFusion(Module):
             self.fuse_aux = BConv(n_aux * ch, ch, rng)
             self.fuse_final = BConv(2 * ch, ch, rng)
 
-    def forward(self, x_main, x_aux_list, collect=None):
+    def forward(self, x_main, x_aux_list):
         if len(x_aux_list) != self.n_aux:
             raise ConfigError(f"expected {self.n_aux} auxiliary streams, got {len(x_aux_list)}")
         _require_same_shape("refinement fusion", [x_main] + list(x_aux_list))
@@ -165,16 +165,10 @@ class RefinementFusion(Module):
         main_pre = zm
         for z in za:
             main_pre = T.add(main_pre, T.mul(zm, z))
-        main_merged = self.merge_main(main_pre)
-        z_main = self.gate_main(main_merged)
+        z_main = self.gate_main(self.merge_main(main_pre))
         z_aux = []
         for z, merge, gate in zip(za, self.merge_aux, self.gate_aux):
             z_aux.append(gate(merge(T.add(z, T.mul(z, zm)))))
-        if collect is not None:
-            collect["adapted_main"] = zm
-            collect["adapted_aux"] = za
-            collect["main_pre_gate"] = main_merged
-            collect["main_gated"] = z_main
         if self.variant == "flat_concat":
             return self.fuse_all(T.concat_channels([z_main] + z_aux))
         fused_aux = self.fuse_aux(T.concat_channels(z_aux))

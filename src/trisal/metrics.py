@@ -1,8 +1,13 @@
 """Saliency evaluation: mean absolute error, maximum F-measure over a
 threshold sweep, and the structure measure.
 
+The protocol is the field's fixed one, held in three module constants:
+``BETA_SQ`` = 0.3 weighs precision in the F-measure, ``THRESHOLDS`` = 256
+is the length of the threshold sweep, and ``ALPHA`` = 0.5 balances the
+object and region terms of the structure measure.
+
 Conventions, fixed here and mirrored by the test oracles:
-- thresholds are the ``thresholds`` evenly spaced values k/T in [0, 1), and a
+- thresholds are the ``THRESHOLDS`` evenly spaced values k/T in [0, 1), and a
   pixel is foreground when pred is STRICTLY greater than the threshold (so an
   all-zero prediction has zero recall at every threshold);
 - any 0/0 ratio in precision, recall, or F collapses to 0;
@@ -18,27 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError, ShapeError, reject_unknown_keys, write_bytes, write_json
+from .errors import ContractError, NumericalError, ShapeError, write_bytes, write_json
 
-
-@dataclass
-class MetricsConfig:
-    beta_sq: float = 0.3
-    alpha: float = 0.5
-    thresholds: int = 256
-
-    def __post_init__(self):
-        if self.beta_sq <= 0:
-            raise ConfigError(f"beta_sq must be positive, got {self.beta_sq}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.thresholds < 2:
-            raise ConfigError(f"thresholds must be >= 2, got {self.thresholds}")
-
-    @classmethod
-    def from_dict(cls, d):
-        reject_unknown_keys(d, cls, "metrics config")
-        return cls(**d)
+BETA_SQ = 0.3
+ALPHA = 0.5
+THRESHOLDS = 256
 
 
 def _check_pair(pred, gt):
@@ -68,25 +57,24 @@ def _count_above(values, ts):
     return (values.size - np.searchsorted(np.sort(values), ts, side="right")).astype(np.float64)
 
 
-def max_f_measure(pred, gt, cfg=None):
+def max_f_measure(pred, gt):
     """(max F over thresholds, per-threshold precision, per-threshold recall).
 
     The per-threshold pixel counts come from the sorted values, in
     O(N log N + T log N); they are exact integers.
     """
-    cfg = cfg or MetricsConfig()
     pred, gt = _check_pair(pred, gt)
     pred = pred.reshape(-1)
     fg = gt.reshape(-1) == 1.0
     n_fg = float(np.count_nonzero(fg))
-    ts = np.arange(cfg.thresholds) / cfg.thresholds
+    ts = np.arange(THRESHOLDS) / THRESHOLDS
     tp = _count_above(pred[fg], ts)
     pp = _count_above(pred, ts)
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(pp > 0, tp / pp, 0.0)
         recall = np.where(n_fg > 0, tp / max(n_fg, 1.0), 0.0)
-        num = (1.0 + cfg.beta_sq) * precision * recall
-        den = cfg.beta_sq * precision + recall
+        num = (1.0 + BETA_SQ) * precision * recall
+        den = BETA_SQ * precision + recall
         f = np.where(den > 0, num / den, 0.0)
     return float(f.max()), precision, recall
 
@@ -108,9 +96,8 @@ def _region_similarity(x, y):
     return num / den
 
 
-def s_measure(pred, gt, cfg=None):
-    """Structure measure: object term + region term, balanced by alpha."""
-    cfg = cfg or MetricsConfig()
+def s_measure(pred, gt):
+    """Structure measure: object term + region term, balanced by ``ALPHA``."""
     pred, gt = _check_pair(pred, gt)
     mu = gt.mean()
     if mu == 0.0:
@@ -141,7 +128,7 @@ def s_measure(pred, gt, cfg=None):
             continue
         s_reg += weight * _region_similarity(pred[rs, cs], gq)
 
-    s = cfg.alpha * s_obj + (1.0 - cfg.alpha) * s_reg
+    s = ALPHA * s_obj + (1.0 - ALPHA) * s_reg
     return float(np.clip(s, 0.0, 1.0))
 
 
@@ -167,13 +154,12 @@ class MetricsReport:
         write_json(path, {"aggregate": self.aggregate, "per_sequence": self.per_sequence})
 
 
-def evaluate_sequences(sequences, cfg=None):
+def evaluate_sequences(sequences):
     """sequences: iterable of (name, [(pred, gt), ...]).
 
     Per-frame metrics are averaged within each sequence, then sequence means
     are averaged with equal weight; the result is independent of input order.
     """
-    cfg = cfg or MetricsConfig()
     per_sequence = {}
     for name, frames in sequences:
         if not frames:
@@ -183,8 +169,8 @@ def evaluate_sequences(sequences, cfg=None):
         vals = {"mae": [], "max_f": [], "s_measure": []}
         for pred, gt in frames:
             vals["mae"].append(mae(pred, gt))
-            vals["max_f"].append(max_f_measure(pred, gt, cfg)[0])
-            vals["s_measure"].append(s_measure(pred, gt, cfg))
+            vals["max_f"].append(max_f_measure(pred, gt)[0])
+            vals["s_measure"].append(s_measure(pred, gt))
         per_sequence[name] = {k: float(np.mean(v)) for k, v in vals.items()}
         per_sequence[name]["frames"] = len(frames)
     if not per_sequence:

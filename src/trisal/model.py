@@ -8,15 +8,14 @@ level. Ablation variants rewire exactly one of those stages at build time.
 """
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .blocks import BConv, Conv2d, Encoder, Module, ModuleList
-from .errors import ConfigError, ContractError, DataError, NumericalError, reject_unknown_keys
-from .errors import parse_json, read_bytes, write_bytes
+from .errors import ConfigError, ContractError, DataError, NumericalError
+from .errors import from_fields, parse_json, read_bytes, write_bytes
 from .fusion import ConcatFuse, CrossModalAttention, RefinementFusion, SelfAttention
 from .tensor import Tensor
 
@@ -52,13 +51,10 @@ class ModelConfig:
     input_size: int = 64
     width: int = 16
     cp_width: int = 16
-    ca_ratio: int = 4
     variant: str = "Full"
     seed: int = 0
     lr_backbone: float = 1e-4
     lr_head: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     batch_size: int = 4
     steps: int = 200
 
@@ -67,21 +63,19 @@ class ModelConfig:
             raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.cp_width % self.ca_ratio != 0:
-            raise ConfigError(f"cp_width {self.cp_width} not divisible by ca_ratio {self.ca_ratio}")
-        if self.cp_width % 2 != 0:
-            raise ConfigError(f"cp_width must be even for attention embeddings, got {self.cp_width}")
-        for name in ("width", "cp_width", "ca_ratio", "batch_size", "steps"):
+        if self.cp_width % 4 != 0:
+            # the channel gates reduce by 4, the attention embeddings halve
+            raise ConfigError(f"cp_width must be a multiple of 4, got {self.cp_width}")
+        for name in ("width", "cp_width", "batch_size", "steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("lr_backbone", "lr_head", "momentum", "weight_decay"):
+        for name in ("seed", "lr_backbone", "lr_head"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, d):
-        reject_unknown_keys(d, cls, "model config")
-        return cls(**d)
+        return from_fields(cls, d, "model config")
 
 
 def _stream_layout(variant):
@@ -118,9 +112,7 @@ class SaliencyModel(Module):
             self.fuse = ModuleList([ConcatFuse(c, 1 + n_aux, rng) for _ in range(5)])
         else:
             rfm_variant = "flat_concat" if variant == "C4_flat_concat" else "full"
-            self.fuse = ModuleList(
-                [RefinementFusion(c, n_aux, rng, ca_ratio=config.ca_ratio, variant=rfm_variant) for _ in range(5)]
-            )
+            self.fuse = ModuleList([RefinementFusion(c, n_aux, rng, variant=rfm_variant) for _ in range(5)])
 
         self.dec_top = BConv(c, c, rng)
         self.dec = ModuleList([BConv(2 * c, c, rng) for _ in range(4)])  # levels 4..1
@@ -261,11 +253,7 @@ def make_optimizer(model, config):
     backbone, heads = [], []
     for name, p in model.named_parameters():
         (backbone if is_backbone_param(name) else heads).append(p)
-    return SGD(
-        [(backbone, config.lr_backbone), (heads, config.lr_head)],
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-    )
+    return SGD([(backbone, config.lr_backbone), (heads, config.lr_head)])
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +324,11 @@ def predict(model, rgb, depth, flow):
 def save_checkpoint(path, model, step=0):
     """Write one file, replaced whole: a compact key-sorted JSON header line
     with ``config``, ``step`` and ``tensors`` (``[name, shape]`` in sorted-name
-    order), then each of those tensors as little-endian float64. A missing
-    parent directory is created."""
+    order), then each of those tensors as little-endian float64."""
     state = model.state_dict()
     names = sorted(state)
     header = {"config": asdict(model.config), "step": step, "tensors": [[n, list(state[n].shape)] for n in names]}
     text = json.dumps(header, separators=(",", ":"), sort_keys=True) + "\n"
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     write_bytes(path, [text.encode(), *(np.ascontiguousarray(state[n].data, dtype="<f8") for n in names)])
 
 

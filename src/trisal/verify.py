@@ -124,7 +124,7 @@ def block_checks():
 def model_checks(n_coords=24, seed=70):
     """Whole-model check: central differences on a random sample of parameter
     coordinates against the recorded gradients of the training loss."""
-    cfg = M.ModelConfig(input_size=32, width=4, cp_width=8, ca_ratio=4, seed=seed)
+    cfg = M.ModelConfig(input_size=32, width=4, cp_width=8, seed=seed)
     model = M.build(cfg)
     rng = np.random.default_rng(seed + 1)
     rgb = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)))

@@ -55,18 +55,17 @@ def test_criterion_2_attention_rows_stochastic():
 def test_criterion_3_metric_oracles():
     t0 = time.time()
     rng = np.random.default_rng(303)
-    cfg = MT.MetricsConfig()
     for case in range(1000):
         pred = rng.random((4, 4))
         gt = (rng.random((4, 4)) > rng.uniform(0.2, 0.8)).astype(np.float64)
         assert_allclose(MT.mae(pred, gt), oracle_mae(pred, gt), rtol=0, atol=1e-12)
-        got, _, _ = MT.max_f_measure(pred, gt, cfg)
+        got, _, _ = MT.max_f_measure(pred, gt)
         assert_allclose(got, oracle_max_f(pred, gt), rtol=0, atol=1e-12, err_msg=f"case {case}")
     for case in range(200):
         pred = rng.random((8, 8))
         gt = (rng.random((8, 8)) > rng.uniform(0.2, 0.8)).astype(np.float64)
         assert_allclose(
-            MT.s_measure(pred, gt, cfg), oracle_s_measure(pred, gt), rtol=0, atol=1e-9,
+            MT.s_measure(pred, gt), oracle_s_measure(pred, gt), rtol=0, atol=1e-9,
             err_msg=f"case {case}",
         )
     elapsed = time.time() - t0

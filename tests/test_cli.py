@@ -16,7 +16,6 @@ TINY_RUN = {
         "input_size": 32,
         "width": 4,
         "cp_width": 8,
-        "ca_ratio": 4,
         "batch_size": 2,
         "steps": 6,
         "seed": 0,
@@ -300,8 +299,20 @@ def _directory_in_place(path):
     os.makedirs(path)
 
 
+def _file_in_place(path):
+    """A file where the command will make the directory ``path``."""
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    with open(path, "wb") as fh:
+        fh.write(b"not a directory\n")
+
+
 def _ck(data, ck, pred):
     return ck
+
+
+def _data(data, ck, pred):
+    return data
 
 
 def _data_manifest(data, ck, pred):
@@ -321,6 +332,10 @@ def _output(name):
     return lambda data, ck, pred: os.path.join(os.path.dirname(data), "o", name)
 
 
+def _out_dir(data, ck, pred):
+    return os.path.join(os.path.dirname(data), "o")
+
+
 # name: (the file to damage, from the dataset, checkpoint and prediction
 # paths; the damage). The ERROR DATA line has to name that file.
 FILE_FAULTS = {
@@ -331,6 +346,8 @@ FILE_FAULTS = {
     "checkpoint_tensors_list_short": (_ck, _edit_header(lambda doc: doc["tensors"].pop(0))),
     "checkpoint_tensor_deleted": (_ck, _drop_first_tensor),
     "checkpoint_of_other_variant": (_ck, _edit_header(lambda doc: doc["config"].update(variant="A1_no_depth"))),
+    # a field the model config no longer has
+    "checkpoint_config_with_removed_field": (_ck, _edit_header(lambda doc: doc["config"].update(ca_ratio=4))),
     "checkpoint_tensor_truncated": (_ck, _resize(-8)),
     "checkpoint_payload_8_bytes_long": (_ck, _resize(8)),
     "checkpoint_tensor_negative_dims": (_ck, _edit_header(_negative_first_shape)),
@@ -342,6 +359,10 @@ FILE_FAULTS = {
     "dataset_frames_not_a_number": (_data_manifest, _edit_json(lambda doc: doc["clips"][0].update(frames="two"))),
     "dataset_spec_unknown_key": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(sede=1))),
     "dataset_spec_too_small": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(size=8))),
+    "dataset_spec_frames_not_an_int": (
+        _data_manifest,
+        _edit_json(lambda doc: doc["clips"][0]["spec"].update(frames=2.5)),
+    ),
     # each negative header's product of dimensions matches its payload
     "flow_header_negative_dims": (
         _frame("flow", "0000.flo"),
@@ -358,6 +379,11 @@ FILE_FAULTS = {
     # `gen-data` writes frames into the dataset, `predict` maps under o/pred
     "gen_data_frame_is_a_directory": (_frame("rgb", "0000.ppm"), _directory_in_place),
     "predict_map_is_a_directory": (_output(os.path.join("pred", "clip00", "0000.pgm")), _directory_in_place),
+    # a file where each command's --out directory goes
+    "gen_data_out_is_a_file": (_data, _file_in_place),
+    "train_out_is_a_file": (_out_dir, _file_in_place),
+    "eval_out_is_a_file": (_out_dir, _file_in_place),
+    "predict_out_is_a_file": (_out_dir, _file_in_place),
 }
 
 
@@ -388,7 +414,7 @@ def test_damaged_file_exits_3(one_step_run, tmp_path, capsys, fault):
     out = str(tmp_path / "o")
     if fault.startswith("gen_data"):
         command = ["gen-data", "--out", data]
-    elif fault.startswith("loss_log"):
+    elif fault.startswith(("loss_log", "train_")):
         command = ["train", "--data", data, "--out", out]
     elif fault.startswith("predict_"):
         command = ["predict", "--checkpoint", ck, "--data", data, "--out", out]
@@ -448,6 +474,51 @@ def test_eval_pred_dir_reads_only_masks(one_step_run, tmp_path, capsys):
     assert code == 3, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
+
+
+def test_out_below_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "f"
+    blocker.write_bytes(b"not a directory\n")
+    out = str(blocker / "sub")
+    assert cli.main(["gen-data", "--out", out]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:") and out in lines[0], lines
+
+
+# a value of another type than its field's default, or out of range
+CONFIG_FAULTS = {
+    "model_width_fraction": {"model": {"width": 8.5}},
+    "model_steps_fraction": {"model": {"steps": 2.5}},
+    "model_cp_width_float": {"model": {"cp_width": 8.0}},
+    "model_input_size_float": {"model": {"input_size": 32.0}},
+    "model_width_bool": {"model": {"width": True}},
+    "model_lr_head_bool": {"model": {"lr_head": True}},
+    "model_lr_head_string": {"model": {"lr_head": "0.1"}},
+    "model_variant_number": {"model": {"variant": 1}},
+    "model_seed_negative": {"model": {"seed": -1}},
+    "model_not_an_object": {"model": [8]},
+    "clip_frames_fraction": {"clips": [{"frames": 2.5}]},
+    "clip_size_fraction": {"clips": [{"size": 32.5}]},
+    "clip_n_objects_fraction": {"clips": [{"n_objects": 1.5}]},
+    "clip_seed_fraction": {"clips": [{"seed": 1.5}]},
+    "clip_seed_negative": {"clips": [{"seed": -1}]},
+    "clip_contrast_bool": {"clips": [{"contrast": True}]},
+    "clip_size_string": {"clips": [{"size": "32"}]},
+    "clips_not_a_list": {"clips": 5},
+    "preset_number": {"preset": 5},
+    "out_dir_number": {"out_dir": 1},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, fault):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG_FAULTS[fault]))
+    out = tmp_path / "o"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR CONFIG:") and str(cfg) in lines[0], lines
+    assert not out.exists()
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

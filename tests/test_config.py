@@ -1,16 +1,17 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from trisal.config import RunConfig, echo_config, load_config
+from trisal.config import NESTED, RunConfig, echo_config, load_config
 from trisal.data import ClipSpec
 from trisal.errors import ConfigError
+from trisal.model import ModelConfig
 
 
 def test_empty_document_is_complete():
     cfg = RunConfig.from_dict({})
     assert cfg.model.width == 16
-    assert cfg.metrics.thresholds == 256
     assert cfg.preset == "overfit"
     assert cfg.data_dir == "data"
     assert cfg.out_dir == "out"
@@ -28,14 +29,12 @@ def test_nested_sections_parsed():
     cfg = RunConfig.from_dict(
         {
             "model": {"width": 8, "steps": 3, "variant": "A1_no_depth"},
-            "metrics": {"thresholds": 16},
             "clips": [{"seed": 9, "frames": 2, "size": 32}],
             "out_dir": "runs/x",
         }
     )
     assert cfg.model.width == 8
     assert cfg.model.variant == "A1_no_depth"
-    assert cfg.metrics.thresholds == 16
     assert cfg.clips == [ClipSpec(seed=9, frames=2, size=32)]
     assert cfg.out_dir == "runs/x"
 
@@ -49,9 +48,22 @@ def test_unknown_nested_keys_rejected():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"model": {"widht": 8}})
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"metrics": {"beta": 0.3}})
-    with pytest.raises(ConfigError):
         RunConfig.from_dict({"clips": [{"sede": 1}]})
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, ClipSpec, RunConfig], ids=lambda cls: cls.__name__)
+def test_every_field_falls_under_the_type_rule(cls):
+    # a field whose default is no JSON scalar is parsed by its own function
+    nested = NESTED if cls is RunConfig else {}
+    for f in fields(cls):
+        assert f.name in nested or type(f.default) in (bool, int, float, str), f.name
+    assert set(nested) <= {f.name for f in fields(cls)}
+
+
+def test_int_stands_for_float():
+    cfg = RunConfig.from_dict({"model": {"lr_head": 1}, "clips": [{"contrast": 1, "speed": 0}]})
+    assert type(cfg.model.lr_head) is float and cfg.model.lr_head == 1.0
+    assert type(cfg.clips[0].speed) is float and cfg.clips[0] == ClipSpec(contrast=1.0, speed=0.0)
 
 
 def test_explicit_clips_override_preset():

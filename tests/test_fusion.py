@@ -28,6 +28,19 @@ def trip(ch=8, hw=4, b=1, seed=0):
     )
 
 
+def record(block):
+    """The list to which ``block`` from now on appends each output it returns."""
+    outputs = []
+    forward = block.forward
+
+    def recording(*args):
+        outputs.append(forward(*args))
+        return outputs[-1]
+
+    block.forward = recording
+    return outputs
+
+
 # ---------------------------------------------------------------------------
 # cross-modal attention
 
@@ -145,24 +158,25 @@ def test_refinement_zero_aux_main_branch_reduces():
     xr = rand_input(2, 8, 4, 4, seed=22)
     zero = Tensor(np.zeros((2, 8, 4, 4)))
     rfm = F.RefinementFusion(8, 2, rng(23))
-    got = {}
-    rfm(xr, [zero, zero], collect=got)
-    for z in got["adapted_aux"]:
-        npt.assert_array_equal(z.data, 0.0)
+    adapted_aux = [record(adapt) for adapt in rfm.adapt_aux]
+    main_pre_gate = record(rfm.merge_main)
+    rfm(xr, [zero, zero])
+    for z in adapted_aux:
+        npt.assert_array_equal(z[0].data, 0.0)
     expected = rfm.merge_main(rfm.adapt_main(xr))
-    npt.assert_allclose(got["main_pre_gate"].data, expected.data, atol=1e-12)
+    npt.assert_allclose(main_pre_gate[0].data, expected.data, atol=1e-12)
 
 
 def test_refinement_single_aux_matches_manual_composition():
     xr = rand_input(1, 8, 4, 4, seed=24)
     xf = rand_input(1, 8, 4, 4, seed=25)
     rfm = F.RefinementFusion(8, 1, rng(26))
-    got = {}
-    out = rfm(xr, [xf], collect=got)
+    main_gated = record(rfm.gate_main)
+    out = rfm(xr, [xf])
     zr = rfm.adapt_main(xr)
     zf = rfm.adapt_aux[0](xf)
     main = rfm.gate_main(rfm.merge_main(T.add(zr, T.mul(zr, zf))))
-    npt.assert_allclose(got["main_gated"].data, main.data, atol=1e-12)
+    npt.assert_allclose(main_gated[0].data, main.data, atol=1e-12)
     aux = rfm.gate_aux[0](rfm.merge_aux[0](T.add(zf, T.mul(zf, zr))))
     manual = rfm.fuse_final(T.concat_channels([main, rfm.fuse_aux(aux)]))
     npt.assert_allclose(out.data, manual.data, atol=1e-12)
@@ -204,10 +218,10 @@ def test_refinement_symmetric_aux_swap_keeps_main_branch():
     rfm = F.RefinementFusion(8, 2, rng(42))
     src = {k: Tensor(v.data.copy()) for k, v in rfm.adapt_aux[0].state_dict().items()}
     rfm.adapt_aux[1].load_state_dict(src)
-    a, b = {}, {}
-    rfm(xr, [xd, xf], collect=a)
-    rfm(xr, [xf, xd], collect=b)
-    npt.assert_allclose(a["main_gated"].data, b["main_gated"].data, atol=1e-12)
+    main_gated = record(rfm.gate_main)
+    rfm(xr, [xd, xf])
+    rfm(xr, [xf, xd])
+    npt.assert_allclose(main_gated[0].data, main_gated[1].data, atol=1e-12)
 
 
 def test_every_fusion_parameter_gets_gradient():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trisal import metrics as MT
-from trisal.errors import ConfigError, ContractError, NumericalError, ShapeError
+from trisal.errors import ContractError, NumericalError, ShapeError
 
 
 def rng(seed=0):
@@ -168,17 +168,7 @@ def test_max_f_matches_oracle():
         npt.assert_allclose(f, oracle_max_f(pred, gt), atol=1e-12)
 
 
-def test_max_f_monotone_in_threshold_count():
-    for seed in range(10):
-        pred, gt = random_pair(300 + seed, hw=6)
-        prev = 0.0
-        for t_count in (8, 16, 32, 64, 128, 256):
-            f, _, _ = MT.max_f_measure(pred, gt, MT.MetricsConfig(thresholds=t_count))
-            assert f >= prev - 1e-15
-            prev = f
-
-
-def brute_force_max_f(pred, gt, thresholds, beta_sq=0.3):
+def brute_force_max_f(pred, gt, thresholds=256, beta_sq=0.3):
     """max_f_measure as a T x N boolean matrix: every pixel compared with
     every threshold, the counts summed along the pixels."""
     pred = pred.reshape(-1)
@@ -199,13 +189,14 @@ def brute_force_max_f(pred, gt, thresholds, beta_sq=0.3):
 
 @st.composite
 def tied_maps(draw):
-    """(pred, gt, T): a map up to 16x16 whose values sit on the threshold grid
-    k/T, on the 8-bit grid k/255, or at 0 and 1, so many pixels equal a
-    threshold; the mask may be empty, full or drawn."""
-    t_count = draw(st.sampled_from([2, 32, 255, 256]))
+    """(pred, gt): a map up to 16x16 whose values sit on a grid k/n that the
+    threshold grid k/256 holds (n = 2, 32, 256) or does not (n = 255), on
+    the 8-bit grid k/255, or at 0 and 1, so many pixels equal a threshold;
+    the mask may be empty, full or drawn."""
+    n = draw(st.sampled_from([2, 32, 255, 256]))
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=16))
     value = st.one_of(
-        st.integers(0, t_count).map(lambda k: k / t_count),
+        st.integers(0, n).map(lambda k: k / n),
         st.integers(0, 255).map(lambda k: k / 255),
         st.sampled_from([0.0, 1.0]),
     )
@@ -215,15 +206,15 @@ def tied_maps(draw):
         gt = draw(hnp.arrays(np.bool_, shape)).astype(np.float64)
     else:
         gt = np.full(shape, 1.0 if mask == "full" else 0.0)
-    return pred, gt, t_count
+    return pred, gt
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tied_maps())
 def test_max_f_exact_on_ties(case):
-    pred, gt, t_count = case
-    f, precision, recall = MT.max_f_measure(pred, gt, MT.MetricsConfig(thresholds=t_count))
-    want_f, want_precision, want_recall = brute_force_max_f(pred, gt, t_count)
+    pred, gt = case
+    f, precision, recall = MT.max_f_measure(pred, gt)
+    want_f, want_precision, want_recall = brute_force_max_f(pred, gt)
     assert np.array_equal(precision, want_precision)
     assert np.array_equal(recall, want_recall)
     assert f == want_f
@@ -302,24 +293,9 @@ def test_metrics_exhaustive_small_masks_sampled():
         gt = np.array([(int(bits) >> k) & 1 for k in range(16)], dtype=np.float64).reshape(4, 4)
         for pred in preds[:3]:
             npt.assert_allclose(MT.mae(pred, gt), oracle_mae(pred, gt), atol=1e-12)
-            f, _, _ = MT.max_f_measure(pred, gt, MT.MetricsConfig(thresholds=32))
-            npt.assert_allclose(f, oracle_max_f(pred, gt, thresholds=32), atol=1e-12)
+            f, _, _ = MT.max_f_measure(pred, gt)
+            npt.assert_allclose(f, oracle_max_f(pred, gt), atol=1e-12)
             npt.assert_allclose(MT.s_measure(pred, gt), oracle_s_measure(pred, gt), atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# config
-
-
-def test_metrics_config_validation():
-    with pytest.raises(ConfigError):
-        MT.MetricsConfig(beta_sq=0.0)
-    with pytest.raises(ConfigError):
-        MT.MetricsConfig(alpha=1.5)
-    with pytest.raises(ConfigError):
-        MT.MetricsConfig(thresholds=1)
-    with pytest.raises(ConfigError):
-        MT.MetricsConfig.from_dict({"beta": 0.3})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from trisal.tensor import Tensor
 
 
 def small_config(**kw):
-    base = dict(input_size=64, width=4, cp_width=8, ca_ratio=4, seed=7, batch_size=2, steps=3)
+    base = dict(input_size=64, width=4, cp_width=8, seed=7, batch_size=2, steps=3)
     base.update(kw)
     return M.ModelConfig(**base)
 
@@ -65,7 +65,7 @@ def test_config_rejects_unknown_variant():
 
 def test_config_rejects_indivisible_attention_width():
     with pytest.raises(ConfigError):
-        M.ModelConfig(cp_width=18, ca_ratio=4)
+        M.ModelConfig(cp_width=18)
 
 
 def test_config_from_dict_rejects_unknown_keys():
