@@ -1,7 +1,7 @@
 """Reusable network blocks: conv+BN(+relu), channel attention, dilated pyramid
 pooling, residual stages, and the five-level encoder stream.
 
-Every block is a ``Module``: parameters and submodules register automatically
+Every block is a ``Module``: tensors and submodules register automatically
 on attribute assignment, so checkpointing and optimizer grouping can walk the
 tree by dotted name. Initialization is deterministic given the caller's
 ``numpy.random.Generator``.
@@ -25,26 +25,21 @@ def _some(names, cap=5):
 
 
 class Module:
-    """Base class with automatic parameter/submodule registration."""
+    """Base class with automatic tensor/submodule registration. A tensor that
+    requires gradients is a parameter; one that does not (running stats) is a
+    buffer. Both are checkpointed."""
 
     def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_buffers", {})
+        object.__setattr__(self, "_tensors", {})
         object.__setattr__(self, "_children", {})
         object.__setattr__(self, "training", True)
 
     def __setattr__(self, name, value):
         if isinstance(value, Tensor):
-            self._params[name] = value
+            self._tensors[name] = value
         elif isinstance(value, Module):
             self._children[name] = value
         object.__setattr__(self, name, value)
-
-    def register_buffer(self, name, tensor):
-        """Track a non-learnable tensor (running stats) for checkpointing."""
-        self._params.pop(name, None)
-        self._buffers[name] = tensor
-        object.__setattr__(self, name, tensor)
 
     def train(self, flag=True):
         object.__setattr__(self, "training", flag)
@@ -55,26 +50,24 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def named_parameters(self, prefix=""):
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def named_tensors(self, prefix=""):
+        for name, t in self._tensors.items():
+            yield prefix + name, t
         for name, child in self._children.items():
-            yield from child.named_parameters(prefix + name + ".")
+            yield from child.named_tensors(prefix + name + ".")
+
+    def named_parameters(self, prefix=""):
+        return ((name, t) for name, t in self.named_tensors(prefix) if t.requires_grad)
 
     def parameters(self):
         for _, p in self.named_parameters():
             yield p
 
     def named_buffers(self, prefix=""):
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for name, child in self._children.items():
-            yield from child.named_buffers(prefix + name + ".")
+        return ((name, t) for name, t in self.named_tensors(prefix) if not t.requires_grad)
 
     def state_dict(self):
-        state = {name: p for name, p in self.named_parameters()}
-        state.update({name: b for name, b in self.named_buffers()})
-        return state
+        return dict(self.named_tensors())
 
     def load_state_dict(self, state):
         own = self.state_dict()
@@ -103,22 +96,20 @@ class ModuleList(Module):
 
     def __init__(self, modules=()):
         super().__init__()
-        self._items = []
         for m in modules:
             self.append(m)
 
     def append(self, module):
-        self._children[str(len(self._items))] = module
-        self._items.append(module)
+        self._children[str(len(self._children))] = module
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._children.values())
 
     def __len__(self):
-        return len(self._items)
+        return len(self._children)
 
     def __getitem__(self, i):
-        return self._items[i]
+        return list(self._children.values())[i]
 
 
 class Conv2d(Module):
@@ -137,8 +128,8 @@ class BatchNorm2d(Module):
         super().__init__()
         self.gamma = Tensor(np.ones(ch), requires_grad=True)
         self.beta = Tensor(np.zeros(ch), requires_grad=True)
-        self.register_buffer("running_mean", Tensor(np.zeros(ch)))
-        self.register_buffer("running_var", Tensor(np.ones(ch)))
+        self.running_mean = Tensor(np.zeros(ch))
+        self.running_var = Tensor(np.ones(ch))
 
     def forward(self, x):
         mode = "train" if self.training else "eval"

@@ -77,9 +77,9 @@ def _sequences_from_model(model, clips):
 def cmd_gen_data(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
+    echo_config(cfg, out)
     clips = D.build_dataset(cfg.specs())
     D.write_dataset(clips, out)
-    echo_config(cfg, out)
     print(f"wrote {len(clips)} clips to {out}")
     return 0
 
@@ -89,10 +89,10 @@ def cmd_train(args):
     out = _resolve_out(args, cfg)
     data_dir = args.data or cfg.data_dir
     clips = _read_dataset(data_dir, cfg.model)
+    echo_config(cfg, out)
     samples = _all_samples(clips)
     model = M.build(cfg.model)
     rows = M.fit(model, samples, cfg.model)
-    echo_config(cfg, out)
     _write_loss_log(os.path.join(out, "loss_log.csv"), rows)
     M.save_checkpoint(os.path.join(out, "checkpoint"), model, step=len(rows))
     print(f"trained {cfg.model.variant} for {len(rows)} steps; final loss {rows[-1][1]:.6f}")

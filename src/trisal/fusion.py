@@ -1,24 +1,31 @@
-"""Cross-modal fusion blocks.
+"""Cross-modal stage blocks. The model has two stages that fuse its streams,
+and each ablation fills one of them with another block from this module:
 
-Two families live here. The attention fusion computes a joint embedding of
-the main modality with one auxiliary modality, turns its pairwise pixel
-affinities into a row-stochastic matrix, and uses that matrix to mix value
-embeddings of both streams; the mixed features assist the main stream and
-refine the auxiliary one. The refinement fusion multiplies aligned feature
-maps to keep evidence the modalities agree on, restores each stream through a
-residual, gates channels, and merges auxiliaries before the main stream.
+- attention (the three deepest levels): ``CrossModalAttention`` or
+  ``StreamSelfAttention``; returns the main map and the auxiliary maps, refined;
+- fusion (every level): ``RefinementFusion``, ``FlatRefinementFusion`` or
+  ``ConcatFuse``; returns one merged map.
+
+Every stage block is built as ``Block(ch, n_aux, rng)`` and called as
+``block(x_main, x_aux_list)``, and first checks ``_check_streams``: exactly
+``n_aux`` auxiliary maps, each shaped like the main map.
 """
 
 from . import tensor as T
 from .blocks import BConv, ChannelAttention, Conv2d, Module, ModuleList
 from .errors import ConfigError, ShapeError
 
+GATE_RATIO = 4  # channel reduction inside the refinement fusion's channel gates
 
-def _require_same_shape(name, tensors):
-    base = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != base:
-            raise ShapeError(f"{name}: input shapes differ, {base} vs {t.shape}")
+
+def _check_streams(name, n_aux, x_main, x_aux_list):
+    """The call contract of a stage block: ``n_aux`` auxiliary maps (a
+    ``ConfigError`` otherwise), each shaped like the main map (a ``ShapeError``)."""
+    if len(x_aux_list) != n_aux:
+        raise ConfigError(f"{name}: expected {n_aux} auxiliary streams, got {len(x_aux_list)}")
+    for x in x_aux_list:
+        if x.shape != x_main.shape:
+            raise ShapeError(f"{name}: input shapes differ, {x_main.shape} vs {x.shape}")
 
 
 def _flatten_rows(x):
@@ -67,7 +74,7 @@ class PairAttention(Module):
         return _affinity(self.query(h), self.key(h))
 
     def forward(self, x_main, x_aux):
-        _require_same_shape("pair attention", [x_main, x_aux])
+        _check_streams("pair attention", 1, x_main, [x_aux])
         attn = self.affinity(x_main, x_aux)
         assist_main = self.out_main(_attend(attn, self.value_main(x_main)))
         assist_aux = self.out_aux(_attend(attn, self.value_aux(x_aux)))
@@ -93,9 +100,7 @@ class CrossModalAttention(Module):
         self.n_aux = n_aux
 
     def forward(self, x_main, x_aux_list):
-        if len(x_aux_list) != self.n_aux:
-            raise ConfigError(f"expected {self.n_aux} auxiliary streams, got {len(x_aux_list)}")
-        _require_same_shape("attention fusion", [x_main] + list(x_aux_list))
+        _check_streams("attention fusion", self.n_aux, x_main, x_aux_list)
         assisted, aux_out = [], []
         for pair, x_aux in zip(self.pairs, x_aux_list):
             a_main, a_aux = pair(x_main, x_aux)
@@ -122,44 +127,53 @@ class SelfAttention(Module):
         return T.add(x, self.out(_attend(attn, self.value(x))))
 
 
+class StreamSelfAttention(ModuleList):
+    """The attention stage without cross-modal exchange: one ``SelfAttention``
+    per stream, main first, each attending only to its own stream."""
+
+    def __init__(self, ch, n_aux, rng):
+        super().__init__([SelfAttention(ch, rng) for _ in range(1 + n_aux)])
+
+    def forward(self, x_main, x_aux_list):
+        main, *aux = self
+        _check_streams("self attention", len(aux), x_main, x_aux_list)
+        return main(x_main), [blk(x) for blk, x in zip(aux, x_aux_list)]
+
+
 class RefinementFusion(Module):
     """Per-level fusion of the main stream with its auxiliaries.
 
-    variant 'full': main branch keeps evidence shared with every auxiliary
-    (products) plus itself, auxiliaries each keep evidence shared with the
-    main branch plus themselves; every branch goes through a merge block and
-    a channel gate; auxiliaries are fused together first and then with the
-    main branch. 'flat_concat' skips the staged merge and concatenates all
-    gated branches at once. A single-auxiliary configuration simply drops the
-    missing stream's terms.
+    The main branch keeps evidence shared with every auxiliary (products)
+    plus itself, auxiliaries each keep evidence shared with the main branch
+    plus themselves; every branch goes through a merge block and a channel
+    gate; auxiliaries are fused together first and then with the main
+    branch. A single-auxiliary configuration simply drops the missing
+    stream's terms.
     """
 
-    VARIANTS = ("full", "flat_concat")
-
-    def __init__(self, ch, n_aux, rng, ca_ratio=4, variant="full"):
+    def __init__(self, ch, n_aux, rng):
         super().__init__()
-        if variant not in self.VARIANTS:
-            raise ConfigError(f"unknown fusion variant {variant!r}; expected one of {self.VARIANTS}")
         if n_aux < 1:
             raise ConfigError(f"refinement fusion needs at least one auxiliary stream, got {n_aux}")
-        self.variant = variant
         self.n_aux = n_aux
         self.adapt_main = BConv(ch, ch, rng)
         self.adapt_aux = ModuleList([BConv(ch, ch, rng) for _ in range(n_aux)])
         self.merge_main = BConv(ch, ch, rng)
-        self.gate_main = ChannelAttention(ch, ca_ratio, rng)
+        self.gate_main = ChannelAttention(ch, GATE_RATIO, rng)
         self.merge_aux = ModuleList([BConv(ch, ch, rng) for _ in range(n_aux)])
-        self.gate_aux = ModuleList([ChannelAttention(ch, ca_ratio, rng) for _ in range(n_aux)])
-        if variant == "flat_concat":
-            self.fuse_all = BConv((1 + n_aux) * ch, ch, rng)
-        else:
-            self.fuse_aux = BConv(n_aux * ch, ch, rng)
-            self.fuse_final = BConv(2 * ch, ch, rng)
+        self.gate_aux = ModuleList([ChannelAttention(ch, GATE_RATIO, rng) for _ in range(n_aux)])
+        self._build_merge(ch, n_aux, rng)
+
+    def _build_merge(self, ch, n_aux, rng):
+        self.fuse_aux = BConv(n_aux * ch, ch, rng)
+        self.fuse_final = BConv(2 * ch, ch, rng)
+
+    def _merge(self, z_main, z_aux):
+        fused_aux = self.fuse_aux(T.concat_channels(z_aux))
+        return self.fuse_final(T.concat_channels([z_main, fused_aux]))
 
     def forward(self, x_main, x_aux_list):
-        if len(x_aux_list) != self.n_aux:
-            raise ConfigError(f"expected {self.n_aux} auxiliary streams, got {len(x_aux_list)}")
-        _require_same_shape("refinement fusion", [x_main] + list(x_aux_list))
+        _check_streams("refinement fusion", self.n_aux, x_main, x_aux_list)
         zm = self.adapt_main(x_main)
         za = [adapt(x) for adapt, x in zip(self.adapt_aux, x_aux_list)]
         main_pre = zm
@@ -169,22 +183,28 @@ class RefinementFusion(Module):
         z_aux = []
         for z, merge, gate in zip(za, self.merge_aux, self.gate_aux):
             z_aux.append(gate(merge(T.add(z, T.mul(z, zm)))))
-        if self.variant == "flat_concat":
-            return self.fuse_all(T.concat_channels([z_main] + z_aux))
-        fused_aux = self.fuse_aux(T.concat_channels(z_aux))
-        return self.fuse_final(T.concat_channels([z_main, fused_aux]))
+        return self._merge(z_main, z_aux)
+
+
+class FlatRefinementFusion(RefinementFusion):
+    """Refinement fusion without the staged merge: all gated branches are
+    concatenated and merged by one block."""
+
+    def _build_merge(self, ch, n_aux, rng):
+        self.fuse_all = BConv((1 + n_aux) * ch, ch, rng)
+
+    def _merge(self, z_main, z_aux):
+        return self.fuse_all(T.concat_channels([z_main] + z_aux))
 
 
 class ConcatFuse(Module):
     """Baseline fusion: concatenate the raw streams and merge in one block."""
 
-    def __init__(self, ch, n_streams, rng):
+    def __init__(self, ch, n_aux, rng):
         super().__init__()
-        self.merge = BConv(n_streams * ch, ch, rng)
-        self.n_streams = n_streams
+        self.merge = BConv((1 + n_aux) * ch, ch, rng)
+        self.n_aux = n_aux
 
     def forward(self, x_main, x_aux_list):
-        if 1 + len(x_aux_list) != self.n_streams:
-            raise ConfigError(f"expected {self.n_streams} streams, got {1 + len(x_aux_list)}")
-        _require_same_shape("concat fusion", [x_main] + list(x_aux_list))
+        _check_streams("concat fusion", self.n_aux, x_main, x_aux_list)
         return self.merge(T.concat_channels([x_main] + list(x_aux_list)))

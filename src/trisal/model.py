@@ -4,7 +4,8 @@ The network runs one encoder stream per input modality, exchanges
 information between the main stream and the auxiliaries with attention
 fusion on the three deepest levels, merges all streams per level with
 refinement fusion, and decodes coarse-to-fine with a side output at every
-level. Ablation variants rewire exactly one of those stages at build time.
+level. Each ablation variant changes one entry of ``VARIANT_BLOCKS``: the
+streams, the main stream, or the block that fills one stage.
 """
 
 import json
@@ -16,19 +17,24 @@ from . import tensor as T
 from .blocks import BConv, Conv2d, Encoder, Module, ModuleList
 from .errors import ConfigError, ContractError, DataError, NumericalError
 from .errors import from_fields, parse_json, read_bytes, write_bytes
-from .fusion import ConcatFuse, CrossModalAttention, RefinementFusion, SelfAttention
+from .fusion import GATE_RATIO, ConcatFuse, CrossModalAttention, FlatRefinementFusion, RefinementFusion, StreamSelfAttention
 from .tensor import Tensor
 
-VARIANTS = (
-    "Full",
-    "A1_no_depth",
-    "B1_depth_main",
-    "B2_flow_main",
-    "C1_no_mam",
-    "C2_self_nonlocal",
-    "C3_no_rfm",
-    "C4_flat_concat",
-)
+_TRIMODAL = ("rgb", "depth", "flow")
+
+# What each variant builds: its streams (in build order), its main stream, the
+# block of the attention stage (None: no attention) and that of the fusion stage.
+VARIANT_BLOCKS = {
+    "Full": (_TRIMODAL, "rgb", CrossModalAttention, RefinementFusion),
+    "A1_no_depth": (("rgb", "flow"), "rgb", CrossModalAttention, RefinementFusion),
+    "B1_depth_main": (_TRIMODAL, "depth", CrossModalAttention, RefinementFusion),
+    "B2_flow_main": (_TRIMODAL, "flow", CrossModalAttention, RefinementFusion),
+    "C1_no_mam": (_TRIMODAL, "rgb", None, RefinementFusion),
+    "C2_self_nonlocal": (_TRIMODAL, "rgb", StreamSelfAttention, RefinementFusion),
+    "C3_no_rfm": (_TRIMODAL, "rgb", CrossModalAttention, ConcatFuse),
+    "C4_flat_concat": (_TRIMODAL, "rgb", CrossModalAttention, FlatRefinementFusion),
+}
+VARIANTS = tuple(VARIANT_BLOCKS)
 
 # Row labels used in ablation reports, in canonical report order.
 VARIANT_LABELS = {
@@ -63,9 +69,9 @@ class ModelConfig:
             raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.cp_width % 4 != 0:
-            # the channel gates reduce by 4, the attention embeddings halve
-            raise ConfigError(f"cp_width must be a multiple of 4, got {self.cp_width}")
+        if self.cp_width % GATE_RATIO != 0:
+            # the channel gates reduce by GATE_RATIO, the attention embeddings halve
+            raise ConfigError(f"cp_width must be a multiple of {GATE_RATIO}, got {self.cp_width}")
         for name in ("width", "cp_width", "batch_size", "steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -78,42 +84,19 @@ class ModelConfig:
         return from_fields(cls, d, "model config")
 
 
-def _stream_layout(variant):
-    """(ordered stream names, main stream name) for a variant."""
-    if variant == "A1_no_depth":
-        return ("rgb", "flow"), "rgb"
-    main = {"B1_depth_main": "depth", "B2_flow_main": "flow"}.get(variant, "rgb")
-    return ("rgb", "depth", "flow"), main
-
-
 class SaliencyModel(Module):
     def __init__(self, config):
         super().__init__()
         self.config = config
         rng = np.random.default_rng(config.seed)
         c = config.cp_width
-        self.streams, self.main_stream = _stream_layout(config.variant)
+        self.streams, self.main_stream, attention, fusion = VARIANT_BLOCKS[config.variant]
         self.aux_streams = tuple(s for s in self.streams if s != self.main_stream)
         for name in self.streams:
             setattr(self, f"enc_{name}", Encoder(rng, width=config.width, cp_width=c))
-
         n_aux = len(self.aux_streams)
-        variant = config.variant
-        if variant == "C1_no_mam":
-            self.attention = None
-        elif variant == "C2_self_nonlocal":
-            self.attention = ModuleList(
-                [ModuleList([SelfAttention(c, rng) for _ in self.streams]) for _ in ATTENTION_LEVELS]
-            )
-        else:
-            self.attention = ModuleList([CrossModalAttention(c, n_aux, rng) for _ in ATTENTION_LEVELS])
-
-        if variant == "C3_no_rfm":
-            self.fuse = ModuleList([ConcatFuse(c, 1 + n_aux, rng) for _ in range(5)])
-        else:
-            rfm_variant = "flat_concat" if variant == "C4_flat_concat" else "full"
-            self.fuse = ModuleList([RefinementFusion(c, n_aux, rng, variant=rfm_variant) for _ in range(5)])
-
+        self.attention = ModuleList([attention(c, n_aux, rng) for _ in ATTENTION_LEVELS]) if attention else None
+        self.fuse = ModuleList([fusion(c, n_aux, rng) for _ in range(5)])
         self.dec_top = BConv(c, c, rng)
         self.dec = ModuleList([BConv(2 * c, c, rng) for _ in range(4)])  # levels 4..1
         self.heads = ModuleList([Conv2d(c, 1, 3, rng) for _ in range(5)])
@@ -136,13 +119,7 @@ class SaliencyModel(Module):
             x_main = pyramids[self.main_stream][lvl]
             x_aux = [pyramids[s][lvl] for s in self.aux_streams]
             if self.attention is not None and lvl in ATTENTION_LEVELS:
-                blk = self.attention[ATTENTION_LEVELS.index(lvl)]
-                if self.config.variant == "C2_self_nonlocal":
-                    per_stream = {s: blk[i](pyramids[s][lvl]) for i, s in enumerate(self.streams)}
-                    x_main = per_stream[self.main_stream]
-                    x_aux = [per_stream[s] for s in self.aux_streams]
-                else:
-                    x_main, x_aux = blk(x_main, x_aux)
+                x_main, x_aux = self.attention[ATTENTION_LEVELS.index(lvl)](x_main, x_aux)
             fused.append(self.fuse[lvl](x_main, x_aux))
 
         state = self.dec_top(fused[4])
@@ -332,6 +309,12 @@ def save_checkpoint(path, model, step=0):
     write_bytes(path, [text.encode(), *(np.ascontiguousarray(state[n].data, dtype="<f8") for n in names)])
 
 
+def _step(v):
+    if type(v) is not int or v < 0:  # a bool is no step
+        raise ValueError(f"step must be a non-negative integer, got {v!r:.80}")
+    return v
+
+
 def load_checkpoint(path):
     """(model, step) from a ``save_checkpoint`` file. The header's tensor
     list must equal the built model's and the payload must hold exactly their
@@ -339,7 +322,7 @@ def load_checkpoint(path):
     raw = read_bytes(path)
     header = raw[: raw.find(b"\n")] if b"\n" in raw else raw
     config, step, listed = parse_json(
-        path, header, lambda h: (ModelConfig.from_dict(h["config"]), int(h["step"]), list(h["tensors"]))
+        path, header, lambda h: (ModelConfig.from_dict(h["config"]), _step(h["step"]), list(h["tensors"]))
     )
     model = build(config)
     state = model.state_dict()

@@ -107,13 +107,14 @@ def block_checks():
         ("self_attention", T.grad_check(lambda t: _weighted_sum(sa(t), 53), _rand((1, 4, 3, 3), 54)), 1e-4)
     )
 
-    for variant, n_aux in (("full", 2), ("full", 1), ("flat_concat", 2)):
-        rfm = F.RefinementFusion(4, n_aux, rng, variant=variant)
+    for variant, fusion, n_aux in (("full", F.RefinementFusion, 2), ("full", F.RefinementFusion, 1),
+                                   ("flat_concat", F.FlatRefinementFusion, 2)):
+        rfm = fusion(4, n_aux, rng)
         auxes = [_rand((1, 4, 3, 3), 60 + i) for i in range(n_aux)]
         err = T.grad_check(lambda t: _weighted_sum(rfm(t, auxes), 63), _rand((1, 4, 3, 3), 64))
         checks.append((f"refinement_{variant}_{n_aux}aux", err, 1e-4))
 
-    cf = F.ConcatFuse(4, 3, rng)
+    cf = F.ConcatFuse(4, 2, rng)
     aux2 = [_rand((1, 4, 3, 3), 65), _rand((1, 4, 3, 3), 66)]
     checks.append(
         ("concat_fuse", T.grad_check(lambda t: _weighted_sum(cf(t, aux2), 67), _rand((1, 4, 3, 3), 68)), 1e-4)

@@ -342,6 +342,11 @@ FILE_FAULTS = {
     "checkpoint_missing": (_ck, os.remove),
     "checkpoint_header_malformed": (_ck, _write_bytes(b"{bad\n" + bytes(64))),
     "checkpoint_header_without_step": (_ck, _edit_header(lambda doc: doc.pop("step"))),
+    # a step is a non-negative int, as a config's counts are
+    "checkpoint_step_bool": (_ck, _edit_header(lambda doc: doc.update(step=True))),
+    "checkpoint_step_fraction": (_ck, _edit_header(lambda doc: doc.update(step=2.7))),
+    "checkpoint_step_string": (_ck, _edit_header(lambda doc: doc.update(step="3"))),
+    "checkpoint_step_negative": (_ck, _edit_header(lambda doc: doc.update(step=-1))),
     "checkpoint_header_without_tensors": (_ck, _edit_header(lambda doc: doc.pop("tensors"))),
     "checkpoint_tensors_list_short": (_ck, _edit_header(lambda doc: doc["tensors"].pop(0))),
     "checkpoint_tensor_deleted": (_ck, _drop_first_tensor),
@@ -474,6 +479,24 @@ def test_eval_pred_dir_reads_only_masks(one_step_run, tmp_path, capsys):
     assert code == 3, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_unwritable_out_fails_before_the_work(one_step_run, tmp_path, capsys, monkeypatch, command):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} did its work before writing --out")
+
+    monkeypatch.setattr(cli.D, "build_dataset", work)
+    monkeypatch.setattr(cli.M, "fit", work)
+    out = tmp_path / "o"
+    out.write_bytes(b"not a directory\n")
+    data = ["--data", one_step_run["data"]] if command == "train" else []
+    capsys.readouterr()
+    code = cli.main([command, *data, "--config", one_step_run["cfg"], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:") and str(out) in lines[0], err
 
 
 def test_out_below_a_file_exits_3(tmp_path, capsys):

@@ -87,21 +87,6 @@ def test_attention_zero_value_weights_identity_on_aux():
     npt.assert_array_equal(yf.data, xf.data)
 
 
-def test_attention_shape_mismatch():
-    mam = F.CrossModalAttention(8, 2, rng(6))
-    xr = rand_input(1, 8, 4, 4, seed=7)
-    xd = rand_input(1, 8, 2, 2, seed=8)
-    with pytest.raises(ShapeError):
-        mam(xr, [xd, xd])
-
-
-def test_attention_aux_count_checked():
-    mam = F.CrossModalAttention(8, 2, rng(9))
-    xr = rand_input(1, 8, 4, 4, seed=10)
-    with pytest.raises(ConfigError):
-        mam(xr, [xr])
-
-
 def test_attention_odd_channels_rejected():
     with pytest.raises(ConfigError):
         F.PairAttention(7, rng(11))
@@ -184,26 +169,15 @@ def test_refinement_single_aux_matches_manual_composition():
 
 def test_refinement_flat_concat_shape_matches_full():
     xr, xd, xf = trip(ch=8, hw=4, seed=27)
-    full = F.RefinementFusion(8, 2, rng(28), variant="full")
-    flat = F.RefinementFusion(8, 2, rng(28), variant="flat_concat")
+    full = F.RefinementFusion(8, 2, rng(28))
+    flat = F.FlatRefinementFusion(8, 2, rng(28))
     assert flat(xr, [xd, xf]).shape == full(xr, [xd, xf]).shape
-
-
-def test_refinement_unknown_variant():
-    with pytest.raises(ConfigError):
-        F.RefinementFusion(8, 2, rng(29), variant="cascade")
-
-
-def test_refinement_aux_count_checked():
-    rfm = F.RefinementFusion(8, 2, rng(30))
-    xr = rand_input(1, 8, 4, 4, seed=31)
-    with pytest.raises(ConfigError):
-        rfm(xr, [xr])
 
 
 @pytest.mark.parametrize("variant,n_aux", [("full", 2), ("full", 1), ("flat_concat", 2)])
 def test_refinement_gradients(variant, n_aux):
-    rfm = F.RefinementFusion(4, n_aux, rng(32), variant=variant)
+    fusion = {"full": F.RefinementFusion, "flat_concat": F.FlatRefinementFusion}[variant]
+    rfm = fusion(4, n_aux, rng(32))
     xr = rand_input(1, 4, 3, 3, seed=33)
     auxes = [rand_input(1, 4, 3, 3, seed=34 + i) for i in range(n_aux)]
     v = Tensor(rng(40).uniform(-1, 1, (1, 4, 3, 3)))
@@ -242,9 +216,31 @@ def test_every_fusion_parameter_gets_gradient():
 
 
 def test_concat_fuse_shape_and_gradient():
-    blk = F.ConcatFuse(4, 3, rng(46))
+    blk = F.ConcatFuse(4, 2, rng(46))
     xr, xd, xf = trip(ch=4, hw=3, seed=47)
     out = blk(xr, [xd, xf])
     assert out.shape == (1, 4, 3, 3)
     v = Tensor(rng(48).uniform(-1, 1, (1, 4, 3, 3)))
     assert T.grad_check(lambda t: T.sum_all(T.mul(blk(t, [xd, xf]), v)), xr) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the contract every stage block shares
+
+
+STAGE_BLOCKS = [F.CrossModalAttention, F.StreamSelfAttention, F.RefinementFusion, F.FlatRefinementFusion, F.ConcatFuse]
+
+
+@pytest.mark.parametrize("block", STAGE_BLOCKS, ids=lambda b: b.__name__)
+def test_stage_block_contract(block):
+    blk = block(8, 2, rng(6))
+    xr = rand_input(1, 8, 4, 4, seed=7)
+    small = rand_input(1, 8, 2, 2, seed=8)
+    with pytest.raises(ConfigError):
+        blk(xr, [xr])
+    with pytest.raises(ConfigError):
+        blk(xr, [xr, xr, xr])
+    with pytest.raises(ShapeError):
+        blk(xr, [small, small])
+    with pytest.raises(ShapeError):
+        blk(xr, [xr, small])

@@ -2,6 +2,7 @@
 
 import errno
 import gc
+import hashlib
 import math
 import os
 import re
@@ -90,6 +91,28 @@ def test_same_seed_bit_identical_parameters():
     assert s1.keys() == s2.keys()
     for k in s1:
         assert s1[k].data.tobytes() == s2[k].data.tobytes(), k
+
+
+# Each variant's tensor count and the sha256 of its sorted "name [shape]"
+# lines at small_config. A rename or reshape here is a checkpoint of that
+# variant that no longer loads.
+CHECKPOINT_LAYOUTS = {
+    "Full": (877, "9959e8ccd8c825d6ab3c4dd07964694d98b2b85262138afe7212818691f4097d"),
+    "A1_no_depth": (602, "524edd3510209031bdce13ec2186154c9c0bdd2ebb0db740ff66b9060e98a2b4"),
+    "B1_depth_main": (877, "9959e8ccd8c825d6ab3c4dd07964694d98b2b85262138afe7212818691f4097d"),
+    "B2_flow_main": (877, "9959e8ccd8c825d6ab3c4dd07964694d98b2b85262138afe7212818691f4097d"),
+    "C1_no_mam": (766, "8cdf903c2b1bf2d462f3e5e1f227c7522685d969b4a70bcd96f30b2092a21093"),
+    "C2_self_nonlocal": (829, "1192ef1dd3153beaa2bb8e0eb524c129f707a1b41fb74aea79458ce8ec7efe10"),
+    "C3_no_rfm": (642, "92dc9e10e8e37be6abc6c09252cf7cb26747f643e78c96ccc1f61241ba1dd104"),
+    "C4_flat_concat": (852, "9b8d23a616f8a60ef8bdd282d404d2169c9d2e06cd8baab6426a2af018a54bae"),
+}
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_checkpoint_layout_pinned(variant):
+    state = M.build(small_config(variant=variant)).state_dict()
+    text = "".join(f"{n} {list(state[n].shape)}\n" for n in sorted(state))
+    assert (len(state), hashlib.sha256(text.encode()).hexdigest()) == CHECKPOINT_LAYOUTS[variant]
 
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
