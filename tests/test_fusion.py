@@ -87,6 +87,21 @@ def test_attention_zero_value_weights_identity_on_aux():
     npt.assert_array_equal(yf.data, xf.data)
 
 
+def test_attention_shape_mismatch():
+    mam = F.CrossModalAttention(8, 2, rng(6))
+    xr = rand_input(1, 8, 4, 4, seed=7)
+    xd = rand_input(1, 8, 2, 2, seed=8)
+    with pytest.raises(ShapeError):
+        mam(xr, [xd, xd])
+
+
+def test_attention_aux_count_checked():
+    mam = F.CrossModalAttention(8, 2, rng(9))
+    xr = rand_input(1, 8, 4, 4, seed=10)
+    with pytest.raises(ConfigError):
+        mam(xr, [xr])
+
+
 def test_attention_odd_channels_rejected():
     with pytest.raises(ConfigError):
         F.PairAttention(7, rng(11))
