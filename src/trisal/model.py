@@ -249,7 +249,9 @@ def make_batch(samples, indices):
 
 def train_step(model, optimizer, batch, step=None):
     rgb, depth, flow, gt = batch
-    model.zero_grad()
+    params = list(model.named_parameters())  # one walk of the module tree per step
+    for _, p in params:
+        p.grad = None
     model.train()
     with T.Tape() as tape:
         outputs = model(rgb, depth, flow)
@@ -260,7 +262,7 @@ def train_step(model, optimizer, batch, step=None):
             where = f"op '{culprit[0]}' (record {culprit[1]})" if culprit else "loss"
             raise NumericalError(f"non-finite loss at step {step}: first non-finite tensor from {where}")
         total.backward()
-    for name, p in model.named_parameters():
+    for name, p in params:
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericalError(f"non-finite gradient at step {step} in parameter '{name}'; parameters not updated")
     optimizer.step()

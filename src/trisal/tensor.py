@@ -6,6 +6,10 @@ a ``Tape`` is active *and* at least one input requires gradients; without an
 active tape the same functions run as plain forward numerics, which is what
 evaluation and finite differencing use.
 
+Backward re-reads op inputs: ``_binary`` and ``matmul`` use their operands' arrays, ``clamp`` its
+input's, and ``conv2d`` rebuilds its columns from its input. So an input's ``data`` must not be
+mutated between the forward and the backward that uses it.
+
 Layout: ``conv2d`` and ``batchnorm2d`` return their (B, C, H, W) output, and ``conv2d``
 its input gradient, as a transposed view of a contiguous (C, B, H, W) array, so conv -> BN
 -> ReLU -> conv copies nothing. No ``data`` or gradient is promised to be C-contiguous.
@@ -194,10 +198,9 @@ def div(a, b):
 def relu(x):
     """max(0, x); the subgradient at exactly 0 is defined as 0."""
     out = np.maximum(x.data, 0.0)
-    mask = x.data > 0
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _make("relu", out, (x,), bwd)
 
@@ -228,11 +231,11 @@ def log(x):
 
 def clamp(x, lo, hi):
     """Clip to [lo, hi]; gradient is zero where the input was clipped."""
-    out = np.clip(x.data, lo, hi)
-    mask = (x.data > lo) & (x.data < hi)
+    xd = x.data
+    out = np.clip(xd, lo, hi)
 
     def bwd(g):
-        return (g * mask,)
+        return (g * ((xd > lo) & (xd < hi)),)
 
     return _make("clamp", out, (x,), bwd)
 
@@ -346,11 +349,13 @@ def softmax_rows(x):
 # spatial ops
 
 
-def _correlate(xc, wd, stride, dilation):
-    """Same-padded correlation of channel-major (C, B, H, W) ``xc`` with (O, C, k, k) ``wd``: the
-    (B, O, oh, ow) output as a view, the live taps' columns, and the live taps' index into ``wd``."""
-    (c, b_, h, wid), (o, _, k, _) = xc.shape, wd.shape
+def _columns(xc, k, stride, dilation):
+    """Column matrix of a same-padded k x k correlation of channel-major (C, B, H, W) ``xc``: the
+    (C * live taps, B * oh * ow) columns, the live taps' index into an (O, C, k, k) kernel, oh, ow."""
+    c, b_, h, wid = xc.shape
     p, out_h, out_w = dilation * (k - 1) // 2, -(-h // stride), -(-wid // stride)
+    if k == 1 and stride == 1:  # the channel-major input is the column matrix; C order keeps the GEMM's rounding
+        return np.ascontiguousarray(xc).reshape(c, -1), np.s_[:], out_h, out_w
     # Tap (i, j) reads the strided window of xp at offset (i, j) * dilation. Along each axis only
     # taps [i0, i1) meet the input, the centre tap always; the rest read only padding, as atrous
     # taps do once the rate nears the map size (DeepLabv3 §3.3), and are skipped.
@@ -362,35 +367,44 @@ def _correlate(xc, wd, stride, dilation):
     for i in range(i0, i1):
         for j in range(j0, j1):
             cols[:, i - i0, j - j0] = xp[:, :, i * dilation :: stride, j * dilation :: stride][:, :, :out_h, :out_w]
-    cols = cols.reshape(-1, b_ * out_h * out_w)
-    live = np.s_[:, :, i0:i1, j0:j1]
-    return (wd[live].reshape(o, -1) @ cols).reshape(o, b_, out_h, out_w).transpose(1, 0, 2, 3), cols, live
+    return cols.reshape(-1, b_ * out_h * out_w), np.s_[:, :, i0:i1, j0:j1], out_h, out_w
+
+
+def _correlate(xc, wd, stride, dilation):
+    """Same-padded correlation of channel-major (C, B, H, W) ``xc`` with (O, C, k, k) ``wd``, as a
+    (B, O, oh, ow) view of a contiguous (O, B, oh, ow) array; its columns die at return."""
+    cols, live, out_h, out_w = _columns(xc, wd.shape[-1], stride, dilation)
+    o, b_ = wd.shape[0], xc.shape[1]
+    return (wd[live].reshape(o, -1) @ cols).reshape(o, b_, out_h, out_w).transpose(1, 0, 2, 3)
 
 
 def conv2d(x, w, bias, stride=1, dilation=1):
     """Same-padded cross-correlation of (B, C, H, W) with (O, C, k, k), k odd, plus per-channel bias if not None,
-    to ceil(H / stride) x ceil(W / stride); dx is g correlated with w flipped and transposed (Dumoulin & Visin 2016)."""
+    to ceil(H / stride) x ceil(W / stride); dx is g correlated with w flipped and transposed (Dumoulin & Visin 2016).
+    The record keeps no columns: backward rebuilds them from the input for dw (Chen et al. 2016)."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input and kernel, got {xd.shape} and {wd.shape}")
     (b_, c, h, wid), (o, cw, k, k2) = xd.shape, wd.shape
     if k != k2 or k % 2 == 0 or cw != c:
         raise ShapeError(f"conv2d: kernel {wd.shape} must be square, odd-sided and over the channels of {xd.shape}")
-    out, cols, live = _correlate(xd.transpose(1, 0, 2, 3), wd, stride, dilation)
+    out = _correlate(xd.transpose(1, 0, 2, 3), wd, stride, dilation)
     if bias is not None:
         out += bias.data[:, None, None]
 
     def bwd(g):
         gc = g.transpose(1, 0, 2, 3)
         gm = gc.reshape(o, -1)
+        cols, live, _, _ = _columns(xd.transpose(1, 0, 2, 3), k, stride, dilation)
         dw = np.zeros_like(wd)
         dw[live] = (gm @ cols.T).reshape(dw[live].shape)
+        del cols  # before the input gradient fills its own
         dx = None
         if x.requires_grad:
             if stride > 1:  # g zero-filled onto the input grid
                 gc = np.zeros((o, b_, h, wid))
                 gc[:, :, ::stride, ::stride] = g.transpose(1, 0, 2, 3)
-            dx = _correlate(gc, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, dilation)[0]
+            dx = _correlate(gc, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, dilation)
         return (dx, dw) if bias is None else (dx, dw, gm.sum(axis=1))
 
     return _make("conv2d", out, (x, w) if bias is None else (x, w, bias), bwd)

@@ -1,6 +1,7 @@
 """Unit tests for the autodiff engine: hand cases plus finite-difference oracles."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -246,6 +247,31 @@ def test_conv2d_skips_the_input_gradient_of_an_input_without_grad():
         assert out.tobytes() == ref[0].tobytes() and dw.tobytes() == ref[2].tobytes()
 
 
+def held_per_output_byte(op, *inputs):
+    """Bytes a taped ``op`` leaves allocated after its forward (numpy reports to
+    ``tracemalloc``), per byte of its output."""
+    with T.Tape():
+        tracemalloc.start()
+        try:
+            out = op(*inputs)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    return held / out.data.nbytes
+
+
+@pytest.mark.parametrize("k", [3, 1])
+def test_taped_conv2d_holds_its_output_not_its_columns(k):
+    """Backward rebuilds the columns from the input the record already holds,
+    so the forward keeps only its output: 9 columns per input value were 10x."""
+    x, w = rand(2, 16, 32, 32, seed=46), rand(16, 16, k, k, seed=47)
+    assert held_per_output_byte(lambda a, b: T.conv2d(a, b, None), x, w) <= 1.1
+
+
+def test_taped_relu_holds_only_its_output():
+    assert held_per_output_byte(T.relu, rand(2, 16, 32, 32, seed=48)) <= 1.01
+
+
 # ---------------------------------------------------------------------------
 # batchnorm2d
 
@@ -466,6 +492,7 @@ ELEMENTWISE_GRAD_CASES = [
     ("div", lambda x, o: T.div(x, T.add(o, T.Tensor(2.0)))),
     ("sigmoid", lambda x, o: T.sigmoid(x)),
     ("relu_offset", lambda x, o: T.relu(T.add(x, T.Tensor(3.0)))),
+    ("relu_both_signs", lambda x, o: T.relu(x)),  # no input within the step of the kink
     ("log", lambda x, o: T.log(T.add(x, T.Tensor(3.0)))),
     ("clamp", lambda x, o: T.clamp(x, -0.9, 0.9)),
     ("upsample", lambda x, o: T.upsample_bilinear_x2(x)),
