@@ -249,9 +249,7 @@ def make_batch(samples, indices):
 
 def train_step(model, optimizer, batch, step=None):
     rgb, depth, flow, gt = batch
-    params = list(model.named_parameters())  # one walk of the module tree per step
-    for _, p in params:
-        p.grad = None
+    model.zero_grad()
     model.train()
     with T.Tape() as tape:
         outputs = model(rgb, depth, flow)
@@ -262,7 +260,7 @@ def train_step(model, optimizer, batch, step=None):
             where = f"op '{culprit[0]}' (record {culprit[1]})" if culprit else "loss"
             raise NumericalError(f"non-finite loss at step {step}: first non-finite tensor from {where}")
         total.backward()
-    for name, p in params:
+    for name, p in model.named_parameters():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericalError(f"non-finite gradient at step {step} in parameter '{name}'; parameters not updated")
     optimizer.step()

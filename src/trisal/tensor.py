@@ -6,9 +6,9 @@ a ``Tape`` is active *and* at least one input requires gradients; without an
 active tape the same functions run as plain forward numerics, which is what
 evaluation and finite differencing use.
 
-Backward re-reads op inputs: ``_binary`` and ``matmul`` use their operands' arrays, ``clamp`` its
-input's, and ``conv2d`` rebuilds its columns from its input. So an input's ``data`` must not be
-mutated between the forward and the backward that uses it.
+Any op's backward may re-read its inputs' arrays (``conv2d``, for one, rebuilds its columns from
+its input), so an input's ``data`` must not be mutated between the forward and the backward that
+uses it.
 
 Layout: ``conv2d`` and ``batchnorm2d`` return their (B, C, H, W) output, and ``conv2d``
 its input gradient, as a transposed view of a contiguous (C, B, H, W) array, so conv -> BN
@@ -354,8 +354,6 @@ def _columns(xc, k, stride, dilation):
     (C * live taps, B * oh * ow) columns, the live taps' index into an (O, C, k, k) kernel, oh, ow."""
     c, b_, h, wid = xc.shape
     p, out_h, out_w = dilation * (k - 1) // 2, -(-h // stride), -(-wid // stride)
-    if k == 1 and stride == 1:  # the channel-major input is the column matrix; C order keeps the GEMM's rounding
-        return np.ascontiguousarray(xc).reshape(c, -1), np.s_[:], out_h, out_w
     # Tap (i, j) reads the strided window of xp at offset (i, j) * dilation. Along each axis only
     # taps [i0, i1) meet the input, the centre tap always; the rest read only padding, as atrous
     # taps do once the rate nears the map size (DeepLabv3 §3.3), and are skipped.
