@@ -117,8 +117,8 @@ def _eval_report(args, cfg):
 
 
 def cmd_eval(args):
-    if not args.checkpoint and not args.pred_dir:
-        raise ConfigError("eval needs --checkpoint or --pred-dir")
+    if bool(args.checkpoint) == bool(args.pred_dir):
+        raise ConfigError("eval needs exactly one of --checkpoint and --pred-dir")
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     report = _eval_report(args, cfg)

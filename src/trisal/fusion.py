@@ -28,23 +28,21 @@ def _check_streams(name, n_aux, x_main, x_aux_list):
             raise ShapeError(f"{name}: input shapes differ, {x_main.shape} vs {x.shape}")
 
 
-def _flatten_rows(x):
-    """(B, C, H, W) -> (B, HW, C) token rows."""
+def _tokens(x):
+    """(B, C, H, W) -> (B, C, HW) tokens, one column per position."""
     b, c, h, w = x.shape
-    return T.transpose_last2(T.reshape(x, (b, c, h * w)))
+    return T.reshape(x, (b, c, h * w))
 
 
 def _affinity(query, key):
     """Row-stochastic (B, HW, HW) matrix from (B, C', H, W) query and key maps."""
-    b, c, h, w = key.shape
-    return T.softmax_rows(T.matmul(_flatten_rows(query), T.reshape(key, (b, c, h * w))))
+    return T.softmax_rows(T.matmul(T.transpose_last2(_tokens(query)), _tokens(key)))
 
 
-def _attend(attn, value):
-    """Mix the positions of a (B, C, H, W) value map by an affinity matrix."""
-    b, c, h, w = value.shape
-    mixed = T.matmul(attn, _flatten_rows(value))
-    return T.reshape(T.transpose_last2(mixed), (b, c, h, w))
+def _attend(attn_t, value):
+    """Mix the positions of a (B, C, H, W) value map by the transpose of an
+    affinity matrix A: ``out[b, c, i] = sum_j A[b, i, j] * value[b, c, j]``."""
+    return T.reshape(T.matmul(_tokens(value), attn_t), value.shape)
 
 
 class PairAttention(Module):
@@ -75,9 +73,9 @@ class PairAttention(Module):
 
     def forward(self, x_main, x_aux):
         _check_streams("pair attention", 1, x_main, [x_aux])
-        attn = self.affinity(x_main, x_aux)
-        assist_main = self.out_main(_attend(attn, self.value_main(x_main)))
-        assist_aux = self.out_aux(_attend(attn, self.value_aux(x_aux)))
+        attn_t = T.transpose_last2(self.affinity(x_main, x_aux))
+        assist_main = self.out_main(_attend(attn_t, self.value_main(x_main)))
+        assist_aux = self.out_aux(_attend(attn_t, self.value_aux(x_aux)))
         return assist_main, assist_aux
 
 
@@ -123,8 +121,8 @@ class SelfAttention(Module):
         self.out = Conv2d(ch, ch, 1, rng)
 
     def forward(self, x):
-        attn = _affinity(self.query(x), self.key(x))
-        return T.add(x, self.out(_attend(attn, self.value(x))))
+        attn_t = T.transpose_last2(_affinity(self.query(x), self.key(x)))
+        return T.add(x, self.out(_attend(attn_t, self.value(x))))
 
 
 class StreamSelfAttention(ModuleList):
@@ -176,14 +174,12 @@ class RefinementFusion(Module):
         _check_streams("refinement fusion", self.n_aux, x_main, x_aux_list)
         zm = self.adapt_main(x_main)
         za = [adapt(x) for adapt, x in zip(self.adapt_aux, x_aux_list)]
-        main_pre = zm
-        for z in za:
-            main_pre = T.add(main_pre, T.mul(zm, z))
-        z_main = self.gate_main(self.merge_main(main_pre))
-        z_aux = []
+        main_pre, z_aux = zm, []
         for z, merge, gate in zip(za, self.merge_aux, self.gate_aux):
-            z_aux.append(gate(merge(T.add(z, T.mul(z, zm)))))
-        return self._merge(z_main, z_aux)
+            shared = T.mul(zm, z)  # feeds the main branch and this auxiliary's
+            main_pre = T.add(main_pre, shared)
+            z_aux.append(gate(merge(T.add(z, shared))))
+        return self._merge(self.gate_main(self.merge_main(main_pre)), z_aux)
 
 
 class FlatRefinementFusion(RefinementFusion):

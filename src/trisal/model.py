@@ -159,19 +159,17 @@ def level_losses(outputs, gt):
 
     Every side output is doubled up to the ground-truth resolution and put
     through a sigmoid; probabilities are clamped away from 0 and 1 so the
-    log terms stay finite.
+    log stays finite. The cross-entropy is ``-log q`` with ``q = p*(2gt - 1) + (1 - gt)``, the probability
+    of each pixel's label; for a binary mask it has the bits of ``-(gt*log p + (1 - gt)*log(1 - p))``.
     """
     _check_binary(gt)
     target_hw = gt.shape[2]
-    n = float(np.prod(gt.shape))
+    sign, offset = Tensor(2.0 * gt.data - 1.0), Tensor(1.0 - gt.data)
+    neg_n = Tensor(-float(np.prod(gt.shape)))  # the mean of -log q is the sum of log q over -n
     losses = []
     for s in outputs:
         p = T.clamp(T.sigmoid(_upsample_to(s, target_hw)), 1e-7, 1.0 - 1e-7)
-        ce_map = T.sub(
-            Tensor(0.0),
-            T.add(T.mul(gt, T.log(p)), T.mul(T.sub(Tensor(1.0), gt), T.log(T.sub(Tensor(1.0), p)))),
-        )
-        bce = T.div(T.sum_all(ce_map), Tensor(n))
+        bce = T.div(T.sum_all(T.log(T.add(T.mul(p, sign), offset))), neg_n)
         inter = T.sum_all(T.mul(p, gt))
         union = T.sub(T.add(T.sum_all(p), T.sum_all(gt)), inter)
         iou = T.sub(Tensor(1.0), T.div(T.add(inter, Tensor(1.0)), T.add(union, Tensor(1.0))))

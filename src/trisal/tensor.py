@@ -400,8 +400,8 @@ def conv2d(x, w, bias, stride=1, dilation=1):
         dx = None
         if x.requires_grad:
             if stride > 1:  # g zero-filled onto the input grid
-                gc = np.zeros((o, b_, h, wid))
-                gc[:, :, ::stride, ::stride] = g.transpose(1, 0, 2, 3)
+                gc, gs = np.zeros((o, b_, h, wid)), gc
+                gc[:, :, ::stride, ::stride] = gs
             dx = _correlate(gc, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, dilation)
         return (dx, dw) if bias is None else (dx, dw, gm.sum(axis=1))
 
@@ -414,6 +414,8 @@ def batchnorm2d(x, gamma, beta, running_stats, mode, eps=1e-5, momentum=0.1):
     ``running_stats`` is a mutable (mean, var) pair of Tensors updated in
     train mode and read in eval mode. Variances are population (biased)
     statistics throughout.
+    Backward builds dx from its own sums over each channel's n = B*H*W values (Ioffe & Szegedy 2015, §3):
+    ``gamma*inv*(g - dbeta/n - xhat*dgamma/n)`` in train mode, ``g*gamma*inv`` in eval; ``inv = 1/sqrt(var + eps)``.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -445,13 +447,14 @@ def batchnorm2d(x, gamma, beta, running_stats, mode, eps=1e-5, momentum=0.1):
         gm = g.transpose(1, 0, 2, 3).reshape(c, -1)
         dgamma = (gm * xhat).sum(axis=1)
         dbeta = gm.sum(axis=1)
-        gx = gm * gamma.data[:, None]
-        if mode == "train":
-            m1 = gx.mean(axis=1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=1, keepdims=True)
-            dx = inv * (gx - m1 - xhat * m2)
-        else:
-            dx = gx * inv
+        scale = gamma.data[:, None] * inv
+        if mode == "eval":
+            dx = gm * scale
+        else:  # built in place, after one full-size temporary
+            dx = xhat * (dgamma / -gm.shape[1])[:, None]
+            dx += gm
+            dx -= (dbeta / gm.shape[1])[:, None]
+            dx *= scale
         return dx.reshape(c, b_, h, w).transpose(1, 0, 2, 3), dgamma, dbeta
 
     return _make("batchnorm2d", out, (x, gamma, beta), bwd)

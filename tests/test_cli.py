@@ -150,6 +150,15 @@ def test_eval_without_source_exits_2(workdir, capsys):
     assert capsys.readouterr().err.startswith("ERROR CONFIG:")
 
 
+def test_eval_with_both_sources_exits_2(workdir, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["eval", "--data", workdir["data"], "--checkpoint", "ck", "--pred-dir", "pred", "--out", str(out)]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR CONFIG:"), lines
+    assert not out.exists()
+
+
 def test_missing_dataset_exits_3(tmp_path, capsys):
     code = cli.main(["train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
     assert code == 3

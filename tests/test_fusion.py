@@ -87,6 +87,39 @@ def test_attention_zero_value_weights_identity_on_aux():
     npt.assert_array_equal(yf.data, xf.data)
 
 
+def mixed_by(attn, value):
+    """``out[b, c, i] = sum_j attn[b, i, j] * value[b, c, j]`` over flattened positions."""
+    b, c, h, w = value.shape
+    return Tensor(np.einsum("bij,bcj->bci", attn, value.reshape(b, c, h * w)).reshape(b, c, h, w))
+
+
+def test_pair_attention_mixes_values_as_the_einsum_oracle():
+    pair = F.PairAttention(8, rng(50))
+    xm, xa = rand_input(2, 8, 4, 3, seed=51), rand_input(2, 8, 4, 3, seed=52)
+    got_main, got_aux = pair(xm, xa)
+    attn = pair.affinity(xm, xa).data
+    ref_main = pair.out_main(mixed_by(attn, pair.value_main(xm).data))
+    ref_aux = pair.out_aux(mixed_by(attn, pair.value_aux(xa).data))
+    npt.assert_allclose(got_main.data, ref_main.data, rtol=0, atol=1e-12)
+    npt.assert_allclose(got_aux.data, ref_aux.data, rtol=0, atol=1e-12)
+
+
+def test_self_attention_mixes_values_as_the_einsum_oracle():
+    blk = F.SelfAttention(8, rng(53))
+    x = rand_input(2, 8, 3, 5, seed=54)
+    attn = F._affinity(blk.query(x), blk.key(x)).data
+    ref = x.data + blk.out(mixed_by(attn, blk.value(x).data)).data
+    npt.assert_allclose(blk(x).data, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block,n_inputs", [(F.PairAttention, 2), (F.SelfAttention, 1)], ids=["pair", "self"])
+def test_attention_transposes_only_the_query_and_the_affinity(block, n_inputs):
+    xs = [rand_input(1, 8, 4, 4, seed=55 + i) for i in range(n_inputs)]
+    with T.Tape() as tape:
+        block(8, rng(57))(*xs)
+    assert tape.op_counts()["transpose_last2"] == 2
+
+
 def test_attention_shape_mismatch():
     mam = F.CrossModalAttention(8, 2, rng(6))
     xr = rand_input(1, 8, 4, 4, seed=7)
@@ -180,6 +213,16 @@ def test_refinement_single_aux_matches_manual_composition():
     aux = rfm.gate_aux[0](rfm.merge_aux[0](T.add(zf, T.mul(zf, zr))))
     manual = rfm.fuse_final(T.concat_channels([main, rfm.fuse_aux(aux)]))
     npt.assert_allclose(out.data, manual.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_aux", [1, 2])
+def test_refinement_records_one_product_per_auxiliary(n_aux):
+    # one main-by-auxiliary product each, shared by both branches, plus one per channel gate
+    xr, *auxes = trip(ch=8, hw=4, seed=29)
+    rfm = F.RefinementFusion(8, n_aux, rng(30))
+    with T.Tape() as tape:
+        rfm(xr, auxes[:n_aux])
+    assert tape.op_counts()["mul"] == 2 * n_aux + 1
 
 
 def test_refinement_flat_concat_shape_matches_full():

@@ -248,6 +248,45 @@ def test_iou_permutation_invariance():
     )
 
 
+def two_log_level_losses(outputs, gt):
+    """Per-level BCE + (1 - IoU) with the cross-entropy in its two-log form,
+    ``-(gt*log p + (1 - gt)*log(1 - p))``."""
+    n = float(np.prod(gt.shape))
+    losses = []
+    for s in outputs:
+        p = T.clamp(T.sigmoid(M._upsample_to(s, gt.shape[2])), 1e-7, 1.0 - 1e-7)
+        log_both = T.add(T.mul(gt, T.log(p)), T.mul(T.sub(Tensor(1.0), gt), T.log(T.sub(Tensor(1.0), p))))
+        bce = T.div(T.sum_all(T.sub(Tensor(0.0), log_both)), Tensor(n))
+        inter = T.sum_all(T.mul(p, gt))
+        union = T.sub(T.add(T.sum_all(p), T.sum_all(gt)), inter)
+        iou = T.sub(Tensor(1.0), T.div(T.add(inter, Tensor(1.0)), T.add(union, Tensor(1.0))))
+        losses.append(T.add(bce, iou))
+    return losses
+
+
+@pytest.mark.parametrize("mask", ["mixed", "zeros", "ones"])
+def test_level_losses_equal_the_two_log_form_bit_for_bit(mask):
+    rng = np.random.default_rng(11)
+    gt = {
+        "mixed": (rng.uniform(0, 1, (2, 1, 32, 32)) > 0.5).astype(np.float64),
+        "zeros": np.zeros((2, 1, 32, 32)),
+        "ones": np.ones((2, 1, 32, 32)),
+    }[mask]
+    logits = [rng.normal(scale=8.0, size=(2, 1, h, h)) for h in LEVEL_HW]
+    assert any(np.any(np.abs(l) > 17.0) for l in logits)  # beyond the 1e-7 clamp
+    results = []
+    for losses_of in (M.level_losses, two_log_level_losses):
+        outputs = [Tensor(l.copy(), requires_grad=True) for l in logits]
+        with T.Tape():
+            losses = losses_of(outputs, Tensor(gt))
+            M.weighted_total(losses).backward()
+        results.append(([float(l.data) for l in losses], [o.grad for o in outputs]))
+    (values, grads), (ref_values, ref_grads) = results
+    assert values == ref_values
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
 # ---------------------------------------------------------------------------
 # optimizer and training
 

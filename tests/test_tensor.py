@@ -156,19 +156,19 @@ def conv_disagreement(x, w, stride, dilation, seed=0):
     return worst
 
 
-def default_model_conv_calls(monkeypatch):
-    """(input shape, kernel shape, stride, dilation) of every distinct conv in
-    one train-mode forward of the Full model at the default config."""
+def default_model_calls(monkeypatch, name, describe):
+    """Sorted distinct ``describe(*args)`` of every call of ``T.<name>`` in one
+    train-mode forward of the Full model at the default config."""
     from trisal import model as M
 
     calls = set()
-    conv2d = T.conv2d
+    op = getattr(T, name)
 
-    def recorded(x, w, bias, stride=1, dilation=1):
-        calls.add((x.shape, w.shape, stride, dilation))
-        return conv2d(x, w, bias, stride, dilation)
+    def recorded(*args):
+        calls.add(describe(*args))
+        return op(*args)
 
-    monkeypatch.setattr(T, "conv2d", recorded)
+    monkeypatch.setattr(T, name, recorded)
     cfg = M.ModelConfig()
     rng = np.random.default_rng(0)
     size = (cfg.batch_size, 3, cfg.input_size, cfg.input_size)
@@ -178,7 +178,9 @@ def default_model_conv_calls(monkeypatch):
 
 
 def test_conv2d_agrees_with_im2col_oracle_on_every_model_shape(monkeypatch):
-    calls = default_model_conv_calls(monkeypatch)
+    calls = default_model_calls(
+        monkeypatch, "conv2d", lambda x, w, bias, stride=1, dilation=1: (x.shape, w.shape, stride, dilation)
+    )
     assert len(calls) >= 40
     rng = np.random.default_rng(41)
     for xs, ws, stride, dilation in calls:
@@ -350,6 +352,43 @@ def test_batchnorm_bad_mode():
     gamma, beta, stats = _bn_params(1)
     with pytest.raises(ContractError):
         T.batchnorm2d(T.Tensor(np.zeros((1, 1, 2, 2))), gamma, beta, stats, "frozen")
+
+
+def bn_backward_oracle(x, gamma, g, mean, var, mode, eps=1e-5):
+    """batchnorm2d's (dx, dgamma, dbeta) in the long form: dgamma and dbeta as
+    plain sums over channel rows, dx through gx = g * gamma and its two row means."""
+    b, c, h, w = x.shape
+    xm, gm = (a.transpose(1, 0, 2, 3).reshape(c, -1) for a in (x, g))
+    if mode == "train":
+        mean, var = xm.mean(axis=1), xm.var(axis=1)
+    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat = (xm - mean[:, None]) * inv
+    gx = gm * gamma[:, None]
+    if mode == "train":
+        dx = inv * (gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+    else:
+        dx = gx * inv
+    return dx.reshape(c, b, h, w).transpose(1, 0, 2, 3), (gm * xhat).sum(axis=1), gm.sum(axis=1)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_backward_matches_long_form_on_every_model_shape(monkeypatch, mode):
+    shapes = default_model_calls(monkeypatch, "batchnorm2d", lambda x, *rest: x.shape)
+    assert len(shapes) >= 8
+    rng = np.random.default_rng(45)
+    for shape in shapes:
+        c = shape[1]
+        x, g = rng.normal(1.0, 2.0, shape), rng.normal(size=shape)
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.normal(size=c)
+        mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+        params = [T.Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        with T.Tape() as tape:
+            T.batchnorm2d(*params, (T.Tensor(mean.copy()), T.Tensor(var.copy())), mode)
+        dx, dgamma, dbeta = tape.ops[-1].backward_fn(g)
+        ref_dx, ref_dgamma, ref_dbeta = bn_backward_oracle(x, gamma, g, mean, var, mode)
+        assert dgamma.tobytes() == ref_dgamma.tobytes() and dbeta.tobytes() == ref_dbeta.tobytes(), shape
+        err = np.max(np.abs(dx - ref_dx)) / np.max(np.abs(ref_dx))
+        assert err <= 1e-13, (shape, err)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
