@@ -17,7 +17,7 @@ with Tape() as tape:
     hidden = T.relu(T.matmul(x, w1))
     score = T.sigmoid(T.matmul(hidden, w2))
     loss = T.sum_all(T.mul(score, score))
-    loss.backward()
+    T.backward(loss)
 
 print("loss:", float(loss.data))
 print("tape ops:", dict(tape.op_counts()))
@@ -31,5 +31,5 @@ print("finite-difference rel err on w1:", f"{err:.2e}")
 w2.grad = None
 for _ in range(2):
     with Tape():
-        T.sum_all(T.matmul(Tensor(np.ones((1, 5))), w2)).backward()
+        T.backward(T.sum_all(T.matmul(Tensor(np.ones((1, 5))), w2)))
 print("accumulated grad (two passes):", w2.grad.ravel())

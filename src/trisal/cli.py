@@ -31,20 +31,17 @@ from .errors import (
 )
 
 
-def _resolve_out(args, cfg):
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get("TRISAL_OUT")
-    if env:
-        return env
-    return cfg.out_dir
+def _run(args):
+    """(config, output directory, dataset directory): ``--out``, else TRISAL_OUT,
+    else the config's ``out_dir``; ``--data``, else the config's ``data_dir``."""
+    cfg = load_config(args.config)
+    out = getattr(args, "out", None) or os.environ.get("TRISAL_OUT") or cfg.out_dir
+    return cfg, out, getattr(args, "data", None) or cfg.data_dir
 
 
-def _all_samples(clips):
-    samples = []
-    for clip in clips:
-        samples.extend(clip.samples)
-    return samples
+def _map_path(pred_dir, clip, i):
+    """Where ``predict`` writes, and ``eval --pred-dir`` reads, frame ``i``'s map of ``clip``."""
+    return os.path.join(pred_dir, clip, f"{i:04d}.pgm")
 
 
 def _read_dataset(path, config):
@@ -75,8 +72,7 @@ def _sequences_from_model(model, clips):
 
 
 def cmd_gen_data(args):
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
+    cfg, out, _ = _run(args)
     echo_config(cfg, out)
     clips = D.build_dataset(cfg.specs())
     D.write_dataset(clips, out)
@@ -85,43 +81,34 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
-    data_dir = args.data or cfg.data_dir
-    clips = _read_dataset(data_dir, cfg.model)
+    cfg, out, data = _run(args)
+    clips = _read_dataset(data, cfg.model)
     echo_config(cfg, out)
-    samples = _all_samples(clips)
     model = M.build(cfg.model)
-    rows = M.fit(model, samples, cfg.model)
+    rows = M.fit(model, [s for clip in clips for s in clip.samples], cfg.model)
     _write_loss_log(os.path.join(out, "loss_log.csv"), rows)
     M.save_checkpoint(os.path.join(out, "checkpoint"), model, step=len(rows))
     print(f"trained {cfg.model.variant} for {len(rows)} steps; final loss {rows[-1][1]:.6f}")
     return 0
 
 
-def _eval_report(args, cfg):
-    data_dir = args.data or cfg.data_dir
+def cmd_eval(args):
+    if bool(args.checkpoint) == bool(args.pred_dir):
+        raise ConfigError("eval needs exactly one of --checkpoint and --pred-dir")
+    _, out, data = _run(args)
     if args.pred_dir:
         # the maps are scored against the masks alone
         sequences = []
-        for name, masks in D.read_masks(data_dir):
+        for name, masks in D.read_masks(data):
             frames = []
             for i, gt in enumerate(masks):
-                p = os.path.join(args.pred_dir, name, f"{i:04d}.pgm")
+                p = _map_path(args.pred_dir, name, i)
                 frames.append((_read_pnm(p, "P5", gt.shape[0]).astype(np.float64) / 255.0, gt))
             sequences.append((name, frames))
     else:
         model, _ = M.load_checkpoint(args.checkpoint)
-        sequences = _sequences_from_model(model, _read_dataset(data_dir, model.config))
-    return MT.evaluate_sequences(sequences)
-
-
-def cmd_eval(args):
-    if bool(args.checkpoint) == bool(args.pred_dir):
-        raise ConfigError("eval needs exactly one of --checkpoint and --pred-dir")
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
-    report = _eval_report(args, cfg)
+        sequences = _sequences_from_model(model, _read_dataset(data, model.config))
+    report = MT.evaluate_sequences(sequences)
     report.write_csv(os.path.join(out, "report.csv"))
     report.write_json(os.path.join(out, "report.json"))
     agg = report.aggregate
@@ -130,19 +117,18 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
+    _, out, data = _run(args)
     model, _ = M.load_checkpoint(args.checkpoint)
-    clips = _read_dataset(args.data or cfg.data_dir, model.config)
+    clips = _read_dataset(data, model.config)
+    pred_dir = os.path.join(out, "pred")
     for clip in clips:
-        clip_dir = os.path.join(out, "pred", clip.name)
         for i, pred in enumerate(_predict_clip(model, clip)):
             _write_pnm(
-                os.path.join(clip_dir, f"{i:04d}.pgm"),
+                _map_path(pred_dir, clip.name, i),
                 np.round(pred * 255.0).astype(np.uint8),
                 "P5",
             )
-    print(f"wrote predictions for {len(clips)} clips under {os.path.join(out, 'pred')}")
+    print(f"wrote predictions for {len(clips)} clips under {pred_dir}")
     return 0
 
 
@@ -161,10 +147,9 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
-    clips = _read_dataset(args.data or cfg.data_dir, cfg.model)
-    samples = _all_samples(clips)
+    cfg, out, data = _run(args)
+    clips = _read_dataset(data, cfg.model)
+    samples = [s for clip in clips for s in clip.samples]
     eval_clips = _read_dataset(args.eval_data, cfg.model) if args.eval_data else clips
     echo_config(cfg, out)
     log_dir = os.path.join(out, "logs")

@@ -101,15 +101,15 @@ class Scene:
     objects: list  # salient SceneObjects
 
 
-def _object_state(obj, t):
-    cx = obj.center[0] + obj.velocity[0] * t
-    cy = obj.center[1] + obj.velocity[1] * t
-    return cx, cy, obj.growth**t
+def _object_box(obj, t):
+    """Centre (cx, cy) and half extents (hx, hy) of ``obj`` at frame ``t``."""
+    s = obj.growth**t
+    cx, cy = obj.center[0] + obj.velocity[0] * t, obj.center[1] + obj.velocity[1] * t
+    return cx, cy, obj.half_extents[0] * s, obj.half_extents[1] * s
 
 
 def _object_mask(obj, t, xx, yy):
-    cx, cy, s = _object_state(obj, t)
-    hx, hy = obj.half_extents[0] * s, obj.half_extents[1] * s
+    cx, cy, hx, hy = _object_box(obj, t)
     if obj.kind == "rectangle":
         return (np.abs(xx - cx) <= hx) & (np.abs(yy - cy) <= hy)
     return ((xx - cx) / hx) ** 2 + ((yy - cy) / hy) ** 2 <= 1.0
@@ -117,17 +117,11 @@ def _object_mask(obj, t, xx, yy):
 
 def _object_flow(obj, t, xx, yy):
     """Displacement of object pixels from frame t to t+1 under the motion."""
-    cx, cy, _ = _object_state(obj, t)
+    cx, cy, _, _ = _object_box(obj, t)
     ratio = obj.growth - 1.0
     u = obj.velocity[0] + ratio * (xx - cx)
     v = obj.velocity[1] + ratio * (yy - cy)
     return u, v
-
-
-def _object_in_bounds(obj, t, size):
-    cx, cy, s = _object_state(obj, t)
-    hx, hy = obj.half_extents[0] * s, obj.half_extents[1] * s
-    return cx - hx >= 1.0 and cx + hx <= size - 2.0 and cy - hy >= 1.0 and cy + hy <= size - 2.0
 
 
 def _bg_row_speed(scene, yy_norm):
@@ -196,10 +190,10 @@ def render_scene(scene):
 
 
 def _validate_samples(scene, samples):
-    size = scene.size
     for obj in scene.objects:
         for t in range(scene.frames + 1):  # +1 keeps the last frame's flow in-bounds
-            if not _object_in_bounds(obj, t, size):
+            cx, cy, hx, hy = _object_box(obj, t)
+            if min(cx - hx, cy - hy) < 1.0 or max(cx + hx, cy + hy) > scene.size - 2.0:
                 return f"object leaves the frame at step {t}"
     for t, s in enumerate(samples):
         cov = s.gt.mean()
@@ -289,28 +283,19 @@ def generate_clip(spec):
 # flow color coding
 
 
+# The Middlebury colour wheel (Baker et al. 2011): six hue segments, red-yellow through magenta-red,
+# each (length, channel held at 1, channel that ramps); the ramp rises in even segments, falls in odd.
+_WHEEL_SEGMENTS = ((15, 0, 1), (6, 1, 0), (4, 1, 2), (11, 2, 1), (13, 2, 0), (6, 0, 2))
+
+
 def _make_color_wheel():
-    ry, yg, gc, cb, bm, mr = 15, 6, 4, 11, 13, 6
-    n = ry + yg + gc + cb + bm + mr
-    wheel = np.zeros((n, 3))
+    wheel = np.zeros((sum(n for n, _, _ in _WHEEL_SEGMENTS), 3))
     col = 0
-    wheel[col : col + ry, 0] = 1.0
-    wheel[col : col + ry, 1] = np.arange(ry) / ry
-    col += ry
-    wheel[col : col + yg, 0] = 1.0 - np.arange(yg) / yg
-    wheel[col : col + yg, 1] = 1.0
-    col += yg
-    wheel[col : col + gc, 1] = 1.0
-    wheel[col : col + gc, 2] = np.arange(gc) / gc
-    col += gc
-    wheel[col : col + cb, 1] = 1.0 - np.arange(cb) / cb
-    wheel[col : col + cb, 2] = 1.0
-    col += cb
-    wheel[col : col + bm, 2] = 1.0
-    wheel[col : col + bm, 0] = np.arange(bm) / bm
-    col += bm
-    wheel[col : col + mr, 2] = 1.0 - np.arange(mr) / mr
-    wheel[col : col + mr, 0] = 1.0
+    for k, (n, full, ramp) in enumerate(_WHEEL_SEGMENTS):
+        rise = np.arange(n) / n
+        wheel[col : col + n, full] = 1.0
+        wheel[col : col + n, ramp] = 1.0 - rise if k % 2 else rise
+        col += n
     return wheel
 
 
@@ -498,14 +483,20 @@ def write_dataset(clips, out_dir):
 
 
 def _read_manifest(data_dir):
-    """(name, clip directory, frame indices, spec) for each manifest entry."""
-    return read_json(
-        os.path.join(data_dir, "manifest.json"),
-        lambda m: [
+    """(name, clip directory, frame indices, spec) for each manifest entry; a
+    manifest without clips, or with a frame count not a positive int, is a data fault."""
+
+    def parse(m):
+        clips = [
             (e["name"], os.path.join(data_dir, e["name"]), range(e["frames"]), ClipSpec.from_dict(e["spec"]))
             for e in m["clips"]
-        ],
-    )
+        ]
+        counts = [e["frames"] for e in m["clips"]]
+        if not counts or not all(type(n) is int and n >= 1 for n in counts):
+            raise DataError(f"needs at least one clip, each with a positive int frame count, got {counts}")
+        return clips
+
+    return read_json(os.path.join(data_dir, "manifest.json"), parse)
 
 
 def _read_mask(base, i, size):

@@ -257,7 +257,7 @@ def train_step(model, optimizer, batch, step=None):
             culprit = tape.first_nonfinite()
             where = f"op '{culprit[0]}' (record {culprit[1]})" if culprit else "loss"
             raise NumericalError(f"non-finite loss at step {step}: first non-finite tensor from {where}")
-        total.backward()
+        T.backward(total)
     for name, p in model.named_parameters():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericalError(f"non-finite gradient at step {step} in parameter '{name}'; parameters not updated")

@@ -45,9 +45,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -74,11 +71,10 @@ class Tape:
     """Ordered record of operations; execution order is topological order.
 
     Use as a context manager around the forward pass, then call
-    ``backward(loss)`` (or ``loss.backward()``). A tape can be consumed by
-    backward exactly once. A tensor recorded by this tape has ``tape`` set to
-    it, and backward clears its ``grad`` once used; every other input,
-    including a tensor recorded by another tape, is a leaf and keeps its
-    ``grad``.
+    ``backward(loss)``. A tape can be consumed by backward exactly once. A
+    tensor recorded by this tape has ``tape`` set to it, and backward clears
+    its ``grad`` once used; every other input, including a tensor recorded by
+    another tape, is a leaf and keeps its ``grad``.
     """
 
     def __init__(self):
@@ -538,8 +534,7 @@ def grad_check(f, x, step=1e-5):
     x.requires_grad = True
     x.grad = None
     with Tape():
-        y = f(x)
-        y.backward()
+        backward(f(x))
     flat = x.data.flat  # writes through to x.data, contiguous or not
     numeric = [central_difference(lambda: f(x), flat, i, step) for i in range(x.data.size)]
     return float(np.max(relative_error(x.grad.reshape(-1), np.array(numeric))))

@@ -137,9 +137,8 @@ def model_checks(n_coords=24, seed=70):
         model.train()
         return M.loss_total(model(rgb, depth, flow), gt)
 
-    model.zero_grad()
     with T.Tape():
-        loss_value().backward()
+        T.backward(loss_value())
 
     params = list(model.parameters())
     picks = rng.integers(0, len(params), size=n_coords)

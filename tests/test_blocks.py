@@ -159,7 +159,7 @@ def test_aspp_gradient_flow_to_all_parameters():
     blk = B.ASPP(4, rng(25))
     x = rand_input(2, 4, 4, 4, seed=26)
     with T.Tape():
-        T.sum_all(T.mul(blk(x), blk(x))).backward()
+        T.backward(T.sum_all(T.mul(blk(x), blk(x))))
     for name, p in blk.named_parameters():
         assert np.all(np.isfinite(p.grad)), name
 
@@ -191,7 +191,7 @@ def test_encoder_gradients_finite_everywhere():
         total = T.sum_all(levels[0])
         for lv in levels[1:]:
             total = T.add(total, T.sum_all(lv))
-        total.backward()
+        T.backward(total)
     for name, p in enc.named_parameters():
         assert p.grad is not None and np.all(np.isfinite(p.grad)), name
 

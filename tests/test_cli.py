@@ -373,6 +373,10 @@ FILE_FAULTS = {
     "dataset_frames_not_a_number": (_data_manifest, _edit_json(lambda doc: doc["clips"][0].update(frames="two"))),
     "dataset_spec_unknown_key": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(sede=1))),
     "dataset_spec_too_small": (_data_manifest, _edit_json(lambda doc: doc["clips"][0]["spec"].update(size=8))),
+    # an empty dataset is a damaged manifest; a frame count is a positive int, never a bool
+    "dataset_without_clips": (_data_manifest, _write_bytes(b'{"clips": []}')),
+    "dataset_frames_zero": (_data_manifest, _edit_json(lambda doc: doc["clips"][0].update(frames=0))),
+    "dataset_frames_bool": (_data_manifest, _edit_json(lambda doc: doc["clips"][0].update(frames=True))),
     "dataset_spec_frames_not_an_int": (
         _data_manifest,
         _edit_json(lambda doc: doc["clips"][0]["spec"].update(frames=2.5)),

@@ -1,5 +1,7 @@
 """Unit tests for the synthetic clip generator and its file formats."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -159,6 +161,13 @@ def test_flow_color_distinguishes_directions():
     right = D.flow_to_color(np.stack([np.full((4, 4), 5.0), np.zeros((4, 4))]))
     assert np.abs(left - right).max() > 0.2
     assert left.min() >= 0.0 and left.max() <= 1.0
+
+
+def test_color_wheel_is_pinned():
+    # 55 hues from arange arithmetic alone, so the digest holds on every machine
+    assert D._WHEEL.shape == (55, 3)
+    digest = hashlib.sha256(D._WHEEL.tobytes()).hexdigest()
+    assert digest == "41f43ee47fd8a43ffe9637f3279e62b63f4ffdca565d66f8920a6668b3d61ae8"
 
 
 def test_flow_color_saturates_with_magnitude():

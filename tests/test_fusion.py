@@ -263,7 +263,7 @@ def test_every_fusion_parameter_gets_gradient():
     with T.Tape():
         yr, (yd, yf) = mam(xr, [xd, xf])
         out = rfm(yr, [yd, yf])
-        T.sum_all(T.mul(out, out)).backward()
+        T.backward(T.sum_all(T.mul(out, out)))
     for mod, label in ((mam, "attention"), (rfm, "refinement")):
         for name, p in mod.named_parameters():
             assert p.grad is not None and np.any(p.grad != 0.0), f"{label}:{name}"

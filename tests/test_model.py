@@ -155,7 +155,7 @@ def test_every_parameter_gets_a_finite_gradient(variant):
     rgb, depth, flow = rand_inputs(seed=5)
     gt = Tensor((np.random.default_rng(6).uniform(0, 1, (1, 1, 64, 64)) > 0.6).astype(np.float64))
     with T.Tape():
-        M.loss_total(model(rgb, depth, flow), gt).backward()
+        T.backward(M.loss_total(model(rgb, depth, flow), gt))
     n_checked = 0
     for name, p in model.named_parameters():
         assert p.grad is not None and np.all(np.isfinite(p.grad)), name
@@ -279,7 +279,7 @@ def test_level_losses_equal_the_two_log_form_bit_for_bit(mask):
         outputs = [Tensor(l.copy(), requires_grad=True) for l in logits]
         with T.Tape():
             losses = losses_of(outputs, Tensor(gt))
-            M.weighted_total(losses).backward()
+            T.backward(M.weighted_total(losses))
         results.append(([float(l.data) for l in losses], [o.grad for o in outputs]))
     (values, grads), (ref_values, ref_grads) = results
     assert values == ref_values

@@ -478,7 +478,7 @@ def test_upsample_backward_is_adjoint(b, c, h, w, seed):
     y = rng.normal(size=(b, c, 2 * h, 2 * w))
     with T.Tape():
         ax = T.upsample_bilinear_x2(x)
-        T.sum_all(T.mul(ax, T.Tensor(y))).backward()
+        T.backward(T.sum_all(T.mul(ax, T.Tensor(y))))
     lhs, rhs = ax.data * y, x.data * x.grad
     assert abs(lhs.sum() - rhs.sum()) <= 1e-12 * max(np.abs(lhs).sum(), np.abs(rhs).sum())
 
@@ -512,7 +512,7 @@ def test_concat_channels_splits_back_into_its_pieces(channels, b, h, w, seed):
     upstream = rng.normal(size=(b, sum(channels), h, w))
     with T.Tape():
         out = T.concat_channels(pieces)
-        T.sum_all(T.mul(out, T.Tensor(upstream))).backward()
+        T.backward(T.sum_all(T.mul(out, T.Tensor(upstream))))
     ends = np.cumsum(channels)
     for piece, end, c in zip(pieces, ends, channels):
         assert out.data[:, end - c : end].tobytes() == piece.data.tobytes()
@@ -632,16 +632,16 @@ def test_backward_twice_is_fault():
     x = rand(2, 2, seed=35)
     with T.Tape():
         y = T.sum_all(x)
-    y.backward()
+    T.backward(y)
     with pytest.raises(ContractError):
-        y.backward()
+        T.backward(y)
 
 
 def test_gradient_accumulation_two_branches():
     x = rand(3, 3, seed=36)
     with T.Tape():
         y = T.add(T.sum_all(x), T.sum_all(x))
-    y.backward()
+    T.backward(y)
     npt.assert_array_equal(x.grad, np.full((3, 3), 2.0))
 
 
@@ -652,7 +652,7 @@ def test_tensor_from_another_tape_is_a_leaf():
     assert y.tape is first and y.requires_grad and y.grad is None
     with T.Tape():
         loss = T.sum_all(T.mul(y, y))
-    loss.backward()
+    T.backward(loss)
     npt.assert_array_equal(y.grad, 2.0 * y.data)
     assert x.grad is None  # first tape was never run backward
 
@@ -665,7 +665,7 @@ def test_leaf_grad_is_made_by_backward_summed_over_passes_and_dropped_by_zero_gr
     for _ in range(2):
         with T.Tape():
             loss = T.sum_all(T.mul(m.w, m.w))
-        loss.backward()
+        T.backward(loss)
     npt.assert_array_equal(m.w.grad, once + once)
     m.zero_grad()
     assert m.w.grad is None
@@ -677,7 +677,7 @@ def test_recorded_tensors_hold_no_grad_after_backward():
         h = T.relu(x)
         unused = T.sigmoid(h)
         loss = T.sum_all(T.mul(h, h))
-    loss.backward()
+    T.backward(loss)
     assert all(t.grad is None for t in (h, unused, loss))
     npt.assert_array_equal(x.grad, 2.0 * h.data * (x.data > 0))
 
@@ -686,7 +686,7 @@ def test_backward_releases_records():
     x = rand(2, 2, seed=43)
     with T.Tape() as tape:
         loss = T.sum_all(T.relu(x))
-    loss.backward()
+    T.backward(loss)
     assert tape.ops == []
     assert tape.op_counts() == {"relu": 1, "sum_all": 1}
 
@@ -706,7 +706,7 @@ def test_op_counts_instrumentation():
     x = rand(2, 3, seed=38)
     with T.Tape() as tape:
         y = T.softmax_rows(T.matmul(x, T.transpose_last2(x)))
-        T.sum_all(y).backward()
+        T.backward(T.sum_all(y))
     counts = tape.op_counts()
     assert counts["softmax_rows"] == 1
     assert counts["matmul"] == 1
@@ -720,7 +720,7 @@ def test_determinism_bit_identical():
         with T.Tape():
             out = T.conv2d(x, w, T.Tensor(np.zeros(4), requires_grad=True), 1, 1)
             loss = T.sum_all(T.sigmoid(out))
-        loss.backward()
+        T.backward(loss)
         return loss.data.copy(), x.grad.copy()
 
     l1, g1 = run()
