@@ -124,6 +124,8 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
+    """BN's parameters and running statistics; ``ConvBN`` applies them through ``T.conv2d``."""
+
     def __init__(self, ch):
         super().__init__()
         self.gamma = Tensor(np.ones(ch), requires_grad=True)
@@ -131,14 +133,16 @@ class BatchNorm2d(Module):
         self.running_mean = Tensor(np.zeros(ch))
         self.running_var = Tensor(np.ones(ch))
 
-    def forward(self, x):
-        mode = "train" if self.training else "eval"
-        return T.batchnorm2d(x, self.gamma, self.beta, (self.running_mean, self.running_var), mode)
+    def args(self):
+        """(gamma, beta, running stats, mode), as ``T.batchnorm2d`` and ``T.conv2d``'s ``bn`` take them."""
+        return self.gamma, self.beta, (self.running_mean, self.running_var), "train" if self.training else "eval"
 
 
 class ConvBN(Module):
-    """Same-padded conv -> batchnorm. The conv has no bias: BN subtracts the
+    """Same-padded conv -> batchnorm, as one ``T.conv2d`` call. The conv has no bias: BN subtracts the
     batch mean in train mode and ``running_mean`` absorbs it in eval mode."""
+
+    relu = False
 
     def __init__(self, in_ch, out_ch, rng, k=3, stride=1, dilation=1):
         super().__init__()
@@ -146,14 +150,14 @@ class ConvBN(Module):
         self.bn = BatchNorm2d(out_ch)
 
     def forward(self, x):
-        return self.bn(self.conv(x))
+        c = self.conv
+        return T.conv2d(x, c.weight, None, c.stride, c.dilation, self.bn.args(), self.relu)
 
 
 class BConv(ConvBN):
     """conv -> batchnorm -> relu."""
 
-    def forward(self, x):
-        return T.relu(super().forward(x))
+    relu = True
 
 
 class ChannelAttention(Module):

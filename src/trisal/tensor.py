@@ -11,10 +11,13 @@ its input), so an input's ``data`` must not be mutated between the forward and t
 uses it.
 
 Layout: ``conv2d`` and ``batchnorm2d`` return their (B, C, H, W) output, and ``conv2d``
-its input gradient, as a transposed view of a contiguous (C, B, H, W) array, so conv -> BN
--> ReLU -> conv copies nothing. No ``data`` or gradient is promised to be C-contiguous.
+its input gradient, as a transposed view of a contiguous (C, B, H, W) array, so conv -> conv
+copies nothing. No ``data`` or gradient is promised to be C-contiguous.
 ``conv2d`` is always same-padded; its input gradient goes through its forward's routine, and
 is skipped for an input that needs none, such as the frames the encoder stems read.
+
+``conv2d``'s optional BN(->ReLU) epilogue works in place in its GEMM output, so the record keeps
+x-hat and its output; eval-mode BN is one affine, and x-hat is kept only if the call is recorded.
 """
 
 from collections import Counter
@@ -355,8 +358,10 @@ def _columns(xc, k, stride, dilation):
     # taps do once the rate nears the map size (DeepLabv3 §3.3), and are skipped.
     i0, j0 = (max(0, -((stride * (m - 1) - p) // dilation)) for m in (out_h, out_w))
     i1, j1 = (min(k, (p + n - 1) // dilation + 1) for n in (h, wid))
-    xp = np.zeros((c, b_, h + 2 * p, wid + 2 * p))  # padded; faster than np.pad
-    xp[:, :, p : p + h, p : p + wid] = xc
+    xp = xc  # a 1x1 kernel has no padding, and its one tap reads xc itself
+    if p:
+        xp = np.zeros((c, b_, h + 2 * p, wid + 2 * p))  # padded; faster than np.pad
+        xp[:, :, p : p + h, p : p + wid] = xc
     cols = np.empty((c, i1 - i0, j1 - j0, b_, out_h, out_w))
     for i in range(i0, i1):
         for j in range(j0, j1):
@@ -366,94 +371,121 @@ def _columns(xc, k, stride, dilation):
 
 def _correlate(xc, wd, stride, dilation):
     """Same-padded correlation of channel-major (C, B, H, W) ``xc`` with (O, C, k, k) ``wd``, as a
-    (B, O, oh, ow) view of a contiguous (O, B, oh, ow) array; its columns die at return."""
+    contiguous (O, B, oh, ow) array; its columns die at return."""
     cols, live, out_h, out_w = _columns(xc, wd.shape[-1], stride, dilation)
-    o, b_ = wd.shape[0], xc.shape[1]
-    return (wd[live].reshape(o, -1) @ cols).reshape(o, b_, out_h, out_w).transpose(1, 0, 2, 3)
+    return (wd[live].reshape(wd.shape[0], -1) @ cols).reshape(wd.shape[0], xc.shape[1], out_h, out_w)
 
 
-def conv2d(x, w, bias, stride=1, dilation=1):
+def _bn_rows(ym, bn, keep_xhat, eps=1e-5, momentum=0.1):
+    """BN by ``bn = (gamma, beta, (running_mean, running_var), mode)`` of the (C, n) channel rows ``ym``, in place:
+    the output rows and the backward from their gradient rows to (dy, dγ, dβ). Train mode turns the rows into x̂
+    and writes ``x̂·γ + β``; eval mode writes ``y·s + t`` over them, ``s = γ/sqrt(var + eps)``, ``t = β − μ·s``
+    (Jacob et al. 2018, §3.2), building x̂ only if ``keep_xhat``. dy comes from dγ and dβ (Ioffe & Szegedy 2015,
+    §3): ``s·(g − dβ/n − x̂·dγ/n)`` in train mode, ``g·s`` in eval."""
+    (gamma, beta, (run_mean, run_var), mode), (c, n) = bn, ym.shape
+    gamma, beta = gamma.data, beta.data
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"batchnorm: gamma/beta for {c} channels, got {gamma.shape}/{beta.shape}")
+    if mode == "train":
+        if n < 2:
+            raise ContractError("batchnorm train mode needs batch*H*W >= 2")
+        mu = ym.mean(axis=1)
+        ym -= mu[:, None]
+        var = np.square(ym).sum(axis=1) / n  # summed as ndarray.var sums, so x̂ is the long form's to the bit
+        run_mean.data *= 1.0 - momentum
+        run_mean.data += momentum * mu
+        run_var.data *= 1.0 - momentum
+        run_var.data += momentum * var
+    elif mode == "eval":
+        mu, var = run_mean.data, run_var.data
+    else:
+        raise ContractError(f"batchnorm: mode must be 'train' or 'eval', got {mode!r}")
+    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    s = gamma[:, None] * inv
+    if mode == "train":
+        ym *= inv
+        xhat, out = ym, ym * gamma[:, None]
+        out += beta[:, None]
+    else:
+        xhat, out = (ym - mu[:, None]) * inv if keep_xhat else None, ym
+        out *= s
+        out += beta[:, None] - mu[:, None] * s
+
+    def backward(gm):
+        dgamma, dbeta = (gm * xhat).sum(axis=1), gm.sum(axis=1)
+        if mode == "eval":
+            return gm * s, dgamma, dbeta
+        dy = xhat * (dgamma / -n)[:, None]  # built in place, after one full-size temporary
+        dy += gm
+        dy -= (dbeta / n)[:, None]
+        dy *= s
+        return dy, dgamma, dbeta
+
+    return out, backward
+
+
+def conv2d(x, w, bias, stride=1, dilation=1, bn=None, relu=False):
     """Same-padded cross-correlation of (B, C, H, W) with (O, C, k, k), k odd, plus per-channel bias if not None,
     to ceil(H / stride) x ceil(W / stride); dx is g correlated with w flipped and transposed (Dumoulin & Visin 2016).
-    The record keeps no columns: backward rebuilds them from the input for dw (Chen et al. 2016)."""
+    The record keeps no columns: backward rebuilds them from the input for dw (Chen et al. 2016).
+    ``bn = (gamma, beta, (running_mean, running_var), mode)`` and ``relu`` add BN and a ReLU to the same record."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input and kernel, got {xd.shape} and {wd.shape}")
     (b_, c, h, wid), (o, cw, k, k2) = xd.shape, wd.shape
     if k != k2 or k % 2 == 0 or cw != c:
         raise ShapeError(f"conv2d: kernel {wd.shape} must be square, odd-sided and over the channels of {xd.shape}")
-    out = _correlate(xd.transpose(1, 0, 2, 3), wd, stride, dilation)
+    inputs = (x, w) if bias is None else (x, w, bias)
+    yc = _correlate(xd.transpose(1, 0, 2, 3), wd, stride, dilation)
     if bias is not None:
-        out += bias.data[:, None, None]
+        yc += bias.data[:, None, None, None]
+    if bn is not None:
+        inputs += bn[:2]
+        recorded = bool(_TAPES) and any(t.requires_grad for t in inputs)  # as _make decides
+        rows, bn_backward = _bn_rows(yc.reshape(o, -1), bn, recorded)
+        yc = rows.reshape(yc.shape)
+    if relu:
+        np.maximum(yc, 0.0, out=yc)
 
     def bwd(g):
         gc = g.transpose(1, 0, 2, 3)
-        gm = gc.reshape(o, -1)
+        gm, grads = (gc * (yc > 0) if relu else gc).reshape(o, -1), []
+        if bn is not None:
+            gm, *grads = bn_backward(gm)
+        if bias is not None:
+            grads.insert(0, gm.sum(axis=1))
         cols, live, _, _ = _columns(xd.transpose(1, 0, 2, 3), k, stride, dilation)
         dw = np.zeros_like(wd)
         dw[live] = (gm @ cols.T).reshape(dw[live].shape)
         del cols  # before the input gradient fills its own
         dx = None
         if x.requires_grad:
+            gc = gm.reshape(yc.shape)
             if stride > 1:  # g zero-filled onto the input grid
                 gc, gs = np.zeros((o, b_, h, wid)), gc
                 gc[:, :, ::stride, ::stride] = gs
-            dx = _correlate(gc, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, dilation)
-        return (dx, dw) if bias is None else (dx, dw, gm.sum(axis=1))
+            dx = _correlate(gc, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, dilation).transpose(1, 0, 2, 3)
+        return (dx, dw, *grads)
 
-    return _make("conv2d", out, (x, w) if bias is None else (x, w, bias), bwd)
+    return _make("conv2d", yc.transpose(1, 0, 2, 3), inputs, bwd)
 
 
 def batchnorm2d(x, gamma, beta, running_stats, mode, eps=1e-5, momentum=0.1):
-    """Per-channel batch normalization over (B, H, W).
-
-    ``running_stats`` is a mutable (mean, var) pair of Tensors updated in
-    train mode and read in eval mode. Variances are population (biased)
-    statistics throughout.
-    Backward builds dx from its own sums over each channel's n = B*H*W values (Ioffe & Szegedy 2015, §3):
-    ``gamma*inv*(g - dbeta/n - xhat*dgamma/n)`` in train mode, ``g*gamma*inv`` in eval; ``inv = 1/sqrt(var + eps)``.
-    """
+    """Per-channel batch normalization of a (B, C, H, W) map over (B, H, W), by ``conv2d``'s BN routine.
+    ``running_stats`` is a mutable (mean, var) pair of Tensors updated in train mode and read in eval
+    mode. Variances are population (biased) statistics throughout."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"batchnorm2d expects a 4-D map, got {xd.shape}")
     b_, c, h, w = xd.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ShapeError(f"batchnorm2d: gamma/beta for {c} channels, got {gamma.data.shape}/{beta.data.shape}")
-    run_mean, run_var = running_stats
-    xm = xd.transpose(1, 0, 2, 3).reshape(c, -1)  # channel rows; a view of every conv output
-    if mode == "train":
-        if xm.shape[1] < 2:
-            raise ContractError("batchnorm2d train mode needs batch*H*W >= 2")
-        mu = xm.mean(axis=1)
-        var = xm.var(axis=1)
-        run_mean.data *= 1.0 - momentum
-        run_mean.data += momentum * mu
-        run_var.data *= 1.0 - momentum
-        run_var.data += momentum * var
-    elif mode == "eval":
-        mu = run_mean.data
-        var = run_var.data
-    else:
-        raise ContractError(f"batchnorm2d: mode must be 'train' or 'eval', got {mode!r}")
-    inv = (1.0 / np.sqrt(var + eps))[:, None]
-    xhat = (xm - mu[:, None]) * inv
-    out = (gamma.data[:, None] * xhat + beta.data[:, None]).reshape(c, b_, h, w).transpose(1, 0, 2, 3)
+    ym = np.copy(xd.transpose(1, 0, 2, 3), order="C").reshape(c, -1)  # rows the routine may overwrite
+    out, backward = _bn_rows(ym, (gamma, beta, running_stats, mode), True, eps, momentum)
 
     def bwd(g):
-        gm = g.transpose(1, 0, 2, 3).reshape(c, -1)
-        dgamma = (gm * xhat).sum(axis=1)
-        dbeta = gm.sum(axis=1)
-        scale = gamma.data[:, None] * inv
-        if mode == "eval":
-            dx = gm * scale
-        else:  # built in place, after one full-size temporary
-            dx = xhat * (dgamma / -gm.shape[1])[:, None]
-            dx += gm
-            dx -= (dbeta / gm.shape[1])[:, None]
-            dx *= scale
-        return dx.reshape(c, b_, h, w).transpose(1, 0, 2, 3), dgamma, dbeta
+        dy, dgamma, dbeta = backward(g.transpose(1, 0, 2, 3).reshape(c, -1))
+        return dy.reshape(c, b_, h, w).transpose(1, 0, 2, 3), dgamma, dbeta
 
-    return _make("batchnorm2d", out, (x, gamma, beta), bwd)
+    return _make("batchnorm2d", out.reshape(c, b_, h, w).transpose(1, 0, 2, 3), (x, gamma, beta), bwd)
 
 
 _BILINEAR_CACHE = {}

@@ -48,6 +48,17 @@ def op_checks():
 
     checks.append(("batchnorm2d", T.grad_check(bn, _rand((2, 3, 4, 4), 16)), 1e-5))
 
+    for mode, seed in (("train", 90), ("eval", 96)):  # conv2d with a BN -> ReLU epilogue, stride 2, dilation 2
+        x, w = _rand((2, 3, 7, 7), seed), _rand((4, 3, 3, 3), seed + 1)
+        gamma, beta = _rand((4,), seed + 2, 0.5, 1.5), _rand((4,), seed + 3)
+        rng = np.random.default_rng(seed + 4)
+        epilogue = (gamma, beta, (Tensor(rng.uniform(-0.2, 0.2, 4)), Tensor(rng.uniform(0.5, 1.5, 4))), mode)
+
+        def f(_):  # reads this iteration's tensors; grad_check perturbs them in place
+            return _weighted_sum(T.conv2d(x, w, None, 2, 2, epilogue, True), seed + 5)
+
+        checks.append((f"conv2d_bn_relu_{mode}", max(T.grad_check(f, t) for t in (x, w, gamma, beta)), 1e-5))
+
     x4 = _rand((2, 3, 4, 4), 17)
     other = Tensor(np.random.default_rng(18).uniform(0.2, 1.0, (2, 3, 4, 4)))
     simple = [

@@ -77,7 +77,7 @@ def test_convbn_train_output_ignores_conv_bias(b, c_in, c_out, h, w, k, stride, 
     x = Tensor(r.normal(size=(b, c_in, h, w)))
     plain = blk(x)
     bias = Tensor(r.normal(size=c_out))
-    biased = blk.bn(T.conv2d(x, conv.weight, bias, conv.stride, conv.dilation))
+    biased = T.batchnorm2d(T.conv2d(x, conv.weight, bias, conv.stride, conv.dilation), *blk.bn.args())
     npt.assert_allclose(biased.data, plain.data, rtol=0, atol=1e-12)
 
 

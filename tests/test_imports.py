@@ -1,10 +1,14 @@
-"""The package needs nothing at run time beyond the standard library and numpy."""
+"""The package needs nothing at run time beyond the standard library and numpy, and still
+has every name the benchmark tracer patches."""
 
 import ast
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "trisal"
+from trisal import tensor as T
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "trisal"
 
 
 def imported_modules(path):
@@ -22,3 +26,16 @@ def test_src_imports_only_stdlib_and_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     foreign = {f"{p.name}: {name}" for p in files for name in imported_modules(p) if name not in allowed}
     assert not foreign, sorted(foreign)
+
+
+def test_every_op_the_tracer_patches_is_a_tensor_function():
+    """``perfbench/spans.py`` patches ``trisal.tensor.<op>`` for each name in ``OPS``, so a
+    removed op would break ``perfbench/run.py --trace 1``."""
+    path = ROOT / "perfbench" / "spans.py"
+    (ops,) = (
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["OPS"]
+    )
+    assert len(ops) >= 19
+    assert [op for op in ops if not callable(getattr(T, op, None))] == []

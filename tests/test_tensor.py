@@ -177,9 +177,20 @@ def default_model_calls(monkeypatch, name, describe):
     return sorted(calls)
 
 
+def default_conv_bn_calls(monkeypatch):
+    """Sorted distinct (x shape, w shape, stride, dilation, relu, output shape) of every
+    ``T.conv2d`` call with a BN epilogue in one train-mode forward of the default model."""
+
+    def describe(x, w, bias, stride=1, dilation=1, bn=None, relu=False):
+        out = (x.shape[0], w.shape[0], -(-x.shape[2] // stride), -(-x.shape[3] // stride))
+        return (x.shape, w.shape, stride, dilation, relu, out) if bn is not None else ()
+
+    return [call for call in default_model_calls(monkeypatch, "conv2d", describe) if call]
+
+
 def test_conv2d_agrees_with_im2col_oracle_on_every_model_shape(monkeypatch):
     calls = default_model_calls(
-        monkeypatch, "conv2d", lambda x, w, bias, stride=1, dilation=1: (x.shape, w.shape, stride, dilation)
+        monkeypatch, "conv2d", lambda x, w, bias, stride=1, dilation=1, *epilogue: (x.shape, w.shape, stride, dilation)
     )
     assert len(calls) >= 40
     rng = np.random.default_rng(41)
@@ -272,6 +283,78 @@ def test_taped_conv2d_holds_its_output_not_its_columns(k):
 
 def test_taped_relu_holds_only_its_output():
     assert held_per_output_byte(T.relu, rand(2, 16, 32, 32, seed=48)) <= 1.01
+
+
+def bn_epilogue(c, mode, requires_grad=True):
+    rng = np.random.default_rng(49)
+    gamma, beta = (T.Tensor(v, requires_grad=requires_grad) for v in (rng.uniform(0.5, 1.5, c), rng.normal(size=c)))
+    return gamma, beta, (T.Tensor(rng.normal(size=c)), T.Tensor(rng.uniform(0.5, 2.0, c))), mode
+
+
+@pytest.mark.parametrize("k", [3, 1])
+def test_taped_conv_bn_relu_holds_xhat_and_its_output(k):
+    """One record in place of conv, BN and ReLU, which kept four full-size maps."""
+    x, w = rand(2, 16, 32, 32, seed=50), rand(16, 16, k, k, seed=51)
+    assert held_per_output_byte(lambda a, b: T.conv2d(a, b, None, 1, 1, bn_epilogue(16, "train"), True), x, w) <= 2.1
+
+
+@pytest.mark.parametrize("k", [3, 1])
+def test_untaped_eval_conv_bn_relu_holds_only_its_output(k):
+    """Eval applies BN as one affine in place in the GEMM output and keeps no x-hat."""
+    x, w = (T.Tensor(rand(*shape, seed=52).data) for shape in ((2, 16, 32, 32), (16, 16, k, k)))
+    bn = bn_epilogue(16, "eval", requires_grad=False)
+    assert held_per_output_byte(lambda a, b: T.conv2d(a, b, None, 1, 1, bn, True), x, w) <= 1.1
+    if k == 1:  # the peak is the columns (one copy of x) and the output: BN and ReLU add no full-size temporary
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, None, 1, 1, bn, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / out.data.nbytes <= 2.1
+
+
+def test_predict_leaves_the_state_dict_byte_identical():
+    """The eval affine is computed per call and never written back into the model."""
+    from trisal import model as M
+
+    cfg = M.ModelConfig(input_size=32, width=4, cp_width=8, seed=3)
+    model = M.build(cfg)
+    rng = np.random.default_rng(53)
+    for name, t in model.named_buffers():
+        t.data[...] = rng.uniform(0.5, 1.5, t.shape) if name.endswith("running_var") else rng.normal(size=t.shape)
+    before = {name: t.data.tobytes() for name, t in model.state_dict().items()}
+    M.predict(model, *(T.Tensor(rng.uniform(0, 1, (2, 3, 32, 32))) for _ in range(3)))
+    assert {name: t.data.tobytes() for name, t in model.state_dict().items()} == before
+
+
+def conv_bn_relu_run(x, w, g, stride, dilation, relu, mode, fused):
+    """Output, running stats and the (x, w, gamma, beta) gradients of ``T.conv2d`` with a BN(->ReLU)
+    epilogue (``fused``) or of the chain conv2d -> batchnorm2d (-> relu), for upstream ``g``."""
+    params = [T.Tensor(v, requires_grad=True) for v in (x, w)]
+    gamma, beta, stats, _ = bn_epilogue(w.shape[0], mode)
+    with T.Tape():
+        if fused:
+            out = T.conv2d(*params, None, stride, dilation, (gamma, beta, stats, mode), relu)
+        else:
+            out = T.batchnorm2d(T.conv2d(*params, None, stride, dilation), gamma, beta, stats, mode)
+            out = T.relu(out) if relu else out
+        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+    return out.data, stats[0].data, stats[1].data, *(t.grad for t in (*params, gamma, beta))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_fused_conv_bn_relu_matches_the_chain_on_every_model_shape(monkeypatch, mode):
+    calls = default_conv_bn_calls(monkeypatch)
+    assert len(calls) >= 20 and {relu for *_, relu, _ in calls} == {False, True}
+    rng = np.random.default_rng(54)
+    for xs, ws, stride, dilation, relu, out_shape in calls:
+        x, w, g = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=out_shape)
+        fused = conv_bn_relu_run(x, w, g, stride, dilation, relu, mode, True)
+        chain = conv_bn_relu_run(x, w, g, stride, dilation, relu, mode, False)
+        for name, a, b in zip(("out", "mean", "var", "dx", "dw", "dgamma", "dbeta"), fused, chain):
+            err = np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+            assert err <= 1e-13, (xs, ws, stride, dilation, relu, name, err)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +456,7 @@ def bn_backward_oracle(x, gamma, g, mean, var, mode, eps=1e-5):
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_batchnorm_backward_matches_long_form_on_every_model_shape(monkeypatch, mode):
-    shapes = default_model_calls(monkeypatch, "batchnorm2d", lambda x, *rest: x.shape)
+    shapes = sorted({s for *_, s in default_conv_bn_calls(monkeypatch)})
     assert len(shapes) >= 8
     rng = np.random.default_rng(45)
     for shape in shapes:
