@@ -1,5 +1,5 @@
-"""The synthetic clip generator: analytic motion, depth layering, and the
-flow color coding, plus the on-disk dataset layout."""
+"""The synthetic clip generator: depth layering and the flow color coding,
+plus the on-disk dataset layout."""
 
 import os
 import tempfile
@@ -13,7 +13,6 @@ from trisal.data import (
     generate_clip,
     preset_specs,
     read_dataset,
-    warp_backward,
     write_dataset,
 )
 
@@ -21,13 +20,6 @@ spec = ClipSpec(seed=11, frames=6, size=64, background="textured", contrast=0.8,
 samples = generate_clip(spec)
 print("frames:", len(samples))
 print("coverage per frame:", [round(float(s.gt.mean()), 3) for s in samples])
-
-# Flow is analytic: warping frame t+1 backward along it reproduces frame t
-# away from occlusion boundaries.
-for t in (0, 2, 4):
-    warped = warp_backward(samples[t + 1].rgb, samples[t].flow)
-    err = np.abs(warped - samples[t].rgb).mean()
-    print(f"warp check t={t}: mean abs err {err:.4f}")
 
 # Depth is disparity-like: salient objects sit on bright plateaus.
 inside = samples[0].depth[samples[0].gt > 0].mean()

@@ -11,13 +11,14 @@ floats at generation time, making disk round-trips bit-identical.
 
 import contextlib
 import os
+import re
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, from_fields, read_bytes, read_json, write_json
+from .errors import ConfigError, DataError, from_fields, read_array, read_bytes, read_json, write_json
 
 BACKGROUNDS = ("flat", "textured", "cluttered", "moving")
 OBJECT_KINDS = ("rectangle", "ellipse")
@@ -302,15 +303,15 @@ def _make_color_wheel():
 _WHEEL = _make_color_wheel()
 
 
-def flow_to_color(flow, max_mag=FLOW_COLOR_MAX_MAG):
+def flow_to_color(flow):
     """Map a (2, H, W) flow field to (3, H, W) RGB in [0, 1].
 
     Direction selects the hue around a fixed color wheel and magnitude
-    (normalized by a fixed maximum, keeping the coding identical across
-    clips) desaturates toward white at zero motion.
+    (normalized by ``FLOW_COLOR_MAX_MAG``, keeping the coding identical
+    across clips) desaturates toward white at zero motion.
     """
-    u = flow[0] / max_mag
-    v = flow[1] / max_mag
+    u = flow[0] / FLOW_COLOR_MAX_MAG
+    v = flow[1] / FLOW_COLOR_MAX_MAG
     rad = np.minimum(np.sqrt(u * u + v * v), 1.0)
     angle = np.arctan2(-v, -u) / np.pi  # in [-1, 1]
     n = _WHEEL.shape[0]
@@ -328,33 +329,17 @@ def flow_to_color(flow, max_mag=FLOW_COLOR_MAX_MAG):
 
 
 # ---------------------------------------------------------------------------
-# pixel-perfect warp check helper (used by tests and the generator's oracle)
-
-
-def warp_backward(image, flow):
-    """Sample ``image`` (C, H, W) at p + flow(p), bilinearly, clamped at the
-    border; comparing against the previous frame checks flow consistency."""
-    c, h, w = image.shape
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    sx = np.clip(xx + flow[0], 0.0, w - 1.0)
-    sy = np.clip(yy + flow[1], 0.0, h - 1.0)
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = sx - x0
-    wy = sy - y0
-    out = np.empty_like(image)
-    for ch in range(c):
-        plane = image[ch]
-        top = (1 - wx) * plane[y0, x0] + wx * plane[y0, x1]
-        bot = (1 - wx) * plane[y1, x0] + wx * plane[y1, x1]
-        out[ch] = (1 - wy) * top + wy * bot
-    return out
-
-
-# ---------------------------------------------------------------------------
 # file formats
+
+
+_PLANE_EXT = {"rgb": "ppm", "gt": "pgm", "depth": "pgm", "flow": "flo"}
+# magic, width, height and max value, whitespace between them and one whitespace byte after
+_PNM_HEADER = re.compile(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _frame(base, plane, i):
+    """Frame ``i`` of ``plane`` in the clip directory ``base``: ``<base>/<plane>/<i:04d>.<extension>``."""
+    return os.path.join(base, plane, f"{i:04d}.{_PLANE_EXT[plane]}")
 
 
 @contextlib.contextmanager
@@ -386,34 +371,14 @@ def _check_size(path, w, h, size):
 def _read_pnm(path, magic, size):
     """A ``size`` x ``size`` P5 (H, W) or P6 (H, W, 3) uint8 image."""
     raw = read_bytes(path)
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError(f"{path}: truncated header at byte {start}")
-        tokens.append(raw[start:pos])
-    if tokens[0] != magic.encode():
-        raise DataError(f"{path}: expected {magic} magic at byte 0, got {tokens[0]!r}")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise DataError(f"{path}: non-numeric header field near byte {pos}") from None
+    header = _PNM_HEADER.match(raw)
+    if header is None or header[1] != magic.encode():
+        raise DataError(f"{path}: expected a '{magic} <width> <height> 255' header at byte 0, got {raw[:16]!r}")
+    w, h, maxval = (int(v) for v in header.groups()[1:])
     _check_size(path, w, h, size)
     if maxval != 255:
         raise DataError(f"{path}: unsupported max value {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    channels = 3 if magic == "P6" else 1
-    expected = w * h * channels
-    payload = raw[pos : pos + expected]
-    if len(payload) != expected:
-        raise DataError(f"{path}: expected {expected} pixel bytes at byte {pos}, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    return arr.reshape((h, w, 3) if channels == 3 else (h, w))
+    return read_array(path, raw, header.end(), np.uint8, (h, w, 3) if magic == "P6" else (h, w))
 
 
 def write_flo(path, flow):
@@ -431,17 +396,11 @@ def write_flo(path, flow):
 def read_flo(path, size):
     """A ``size`` x ``size`` flow field as (2, H, W) float64."""
     raw = read_bytes(path)
-    if raw[:4] != b"PIEH":
-        raise DataError(f"{path}: bad flow magic at byte 0: {raw[:4]!r}")
-    if len(raw) < 12:
-        raise DataError(f"{path}: truncated flow header at byte {len(raw)}")
+    if len(raw) < 12 or raw[:4] != b"PIEH":
+        raise DataError(f"{path}: expected PIEH magic and two int32 dimensions at byte 0, got {raw[:12]!r}")
     w, h = struct.unpack("<ii", raw[4:12])
     _check_size(path, w, h, size)
-    expected = w * h * 2 * 4
-    if len(raw) - 12 != expected:
-        raise DataError(f"{path}: expected {expected} payload bytes at byte 12, got {len(raw) - 12}")
-    inter = np.frombuffer(raw[12:], dtype="<f4").reshape(h, w, 2)
-    return np.stack([inter[:, :, 0], inter[:, :, 1]]).astype(np.float64)
+    return np.ascontiguousarray(read_array(path, raw, 12, "<f4", (h, w, 2)).transpose(2, 0, 1), np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +425,10 @@ def write_dataset(clips, out_dir):
         base = os.path.join(out_dir, clip.name)
         for i, s in enumerate(clip.samples):
             rgb8 = np.round(s.rgb * 255.0).astype(np.uint8).transpose(1, 2, 0)
-            _write_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), np.ascontiguousarray(rgb8), "P6")
-            _write_pnm(
-                os.path.join(base, "gt", f"{i:04d}.pgm"),
-                (s.gt[0] * 255.0).astype(np.uint8),
-                "P5",
-            )
-            _write_pnm(
-                os.path.join(base, "depth", f"{i:04d}.pgm"),
-                np.round(s.depth[0] * 255.0).astype(np.uint8),
-                "P5",
-            )
-            write_flo(os.path.join(base, "flow", f"{i:04d}.flo"), s.flow)
+            _write_pnm(_frame(base, "rgb", i), np.ascontiguousarray(rgb8), "P6")
+            _write_pnm(_frame(base, "gt", i), (s.gt[0] * 255.0).astype(np.uint8), "P5")
+            _write_pnm(_frame(base, "depth", i), np.round(s.depth[0] * 255.0).astype(np.uint8), "P5")
+            write_flo(_frame(base, "flow", i), s.flow)
         entries.append({"name": clip.name, "frames": len(clip.samples), "spec": asdict(clip.spec)})
     write_json(manifest, {"clips": entries})
 
@@ -501,10 +452,11 @@ def _read_manifest(data_dir):
 
 def _read_mask(base, i, size):
     """Frame ``i``'s mask as a (1, size, size) binary {0, 1} plane."""
-    gt8 = _read_pnm(os.path.join(base, "gt", f"{i:04d}.pgm"), "P5", size)
+    path = _frame(base, "gt", i)
+    gt8 = _read_pnm(path, "P5", size)
     if np.count_nonzero((gt8 != 0) & (gt8 != 255)):
         bad = np.setdiff1d(np.unique(gt8), [0, 255])
-        raise DataError(f"{base}/gt/{i:04d}.pgm: non-binary values {bad.tolist()}")
+        raise DataError(f"{path}: non-binary values {bad.tolist()}")
     return (gt8[None] == 255).astype(np.float64)
 
 
@@ -513,10 +465,10 @@ def read_dataset(data_dir):
     for name, base, frames, spec in _read_manifest(data_dir):
         samples = []
         for i in frames:
-            rgb8 = _read_pnm(os.path.join(base, "rgb", f"{i:04d}.ppm"), "P6", spec.size)
+            rgb8 = _read_pnm(_frame(base, "rgb", i), "P6", spec.size)
             gt = _read_mask(base, i, spec.size)
-            depth8 = _read_pnm(os.path.join(base, "depth", f"{i:04d}.pgm"), "P5", spec.size)
-            flow = read_flo(os.path.join(base, "flow", f"{i:04d}.flo"), spec.size)
+            depth8 = _read_pnm(_frame(base, "depth", i), "P5", spec.size)
+            flow = read_flo(_frame(base, "flow", i), spec.size)
             samples.append(
                 TrimodalSample(
                     rgb=rgb8.transpose(2, 0, 1).astype(np.float64) / 255.0,

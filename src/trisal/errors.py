@@ -4,8 +4,11 @@ becomes data or an error, and where data becomes a file."""
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import fields
+
+import numpy as np
 
 
 class TrisalError(Exception):
@@ -68,6 +71,16 @@ def read_bytes(path, error=DataError):
             return fh.read()
     except OSError as exc:
         raise error(f"{path}: not found or unreadable: {exc.strerror or exc}") from None
+
+
+def read_array(path, raw, start, dtype, shape):
+    """The bytes of ``raw`` from ``start`` on, read from ``path``, as a read-only
+    ``dtype`` array of ``shape``. They must fill the file exactly: a short or a
+    long payload is one ``DataError`` naming the path and the offset."""
+    need = np.dtype(dtype).itemsize * math.prod(shape)
+    if len(raw) - start != need:
+        raise DataError(f"{path}: expected {need} payload bytes at byte {start}, got {max(0, len(raw) - start)}")
+    return np.frombuffer(raw, dtype, offset=start).reshape(shape)
 
 
 def read_json(path, parse, error=DataError):

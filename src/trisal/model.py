@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import BConv, Conv2d, Encoder, Module, ModuleList
 from .errors import ConfigError, ContractError, DataError, NumericalError
-from .errors import from_fields, parse_json, read_bytes, write_bytes
+from .errors import from_fields, parse_json, read_array, read_bytes, write_bytes
 from .fusion import GATE_RATIO, ConcatFuse, CrossModalAttention, FlatRefinementFusion, RefinementFusion, StreamSelfAttention
 from .tensor import Tensor
 
@@ -331,11 +331,7 @@ def load_checkpoint(path):
         i = next((i for i, (a, b) in enumerate(zip(got, need)) if a != b), min(len(got), len(need)))
         a, b = (e[i][:120] if i < len(e) else "nothing" for e in (got, need))
         raise DataError(f"{path}: tensor {i} is {a}, the {config.variant} model needs {b}")
-    start = len(header) + 1
     sizes = [state[n].data.size for n in names]
-    size = sum(sizes) * 8
-    if len(raw) - start != size:
-        raise DataError(f"{path}: expected {size} payload bytes after byte {start}, got {max(0, len(raw) - start)}")
-    parts = np.split(np.frombuffer(raw, dtype="<f8", offset=start), np.cumsum(sizes)[:-1])
+    parts = np.split(read_array(path, raw, len(header) + 1, "<f8", (sum(sizes),)), np.cumsum(sizes)[:-1])
     model.load_state_dict({n: part.reshape(state[n].shape) for n, part in zip(names, parts)})
     return model, step

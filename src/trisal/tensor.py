@@ -539,17 +539,20 @@ def broadcast_hw(x, h, w):
 # verification
 
 
-def central_difference(f, flat, i, step):
+FD_STEP = 1e-5  # the finite-difference step of every gradient check
+
+
+def central_difference(f, flat, i):
     """Central difference of the scalar ``f()`` in coordinate ``i`` of ``flat``,
     a writable flat view (or ``ndarray.flat``) of what ``f`` reads; ``flat[i]``
     is restored after."""
     orig = flat[i]
-    flat[i] = orig + step
+    flat[i] = orig + FD_STEP
     fp = float(f().data)
-    flat[i] = orig - step
+    flat[i] = orig - FD_STEP
     fm = float(f().data)
     flat[i] = orig
-    return (fp - fm) / (2.0 * step)
+    return (fp - fm) / (2.0 * FD_STEP)
 
 
 def relative_error(analytic, numeric):
@@ -557,7 +560,7 @@ def relative_error(analytic, numeric):
     return np.abs(analytic - numeric) / np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
 
 
-def grad_check(f, x, step=1e-5):
+def grad_check(f, x):
     """Max relative error between tape gradients and central differences.
 
     ``f`` maps a Tensor to a scalar Tensor and must be smooth at ``x`` (keep
@@ -568,5 +571,5 @@ def grad_check(f, x, step=1e-5):
     with Tape():
         backward(f(x))
     flat = x.data.flat  # writes through to x.data, contiguous or not
-    numeric = [central_difference(lambda: f(x), flat, i, step) for i in range(x.data.size)]
+    numeric = [central_difference(lambda: f(x), flat, i) for i in range(x.data.size)]
     return float(np.max(relative_error(x.grad.reshape(-1), np.array(numeric))))

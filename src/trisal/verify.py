@@ -133,12 +133,12 @@ def block_checks():
     return checks
 
 
-def model_checks(n_coords=24, seed=70):
-    """Whole-model check: central differences on a random sample of parameter
+def model_checks():
+    """Whole-model check: central differences on 24 randomly picked parameter
     coordinates against the recorded gradients of the training loss."""
-    cfg = M.ModelConfig(input_size=32, width=4, cp_width=8, seed=seed)
+    cfg = M.ModelConfig(input_size=32, width=4, cp_width=8, seed=70)
     model = M.build(cfg)
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(71)
     rgb = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)))
     depth = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)))
     flow = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)))
@@ -152,13 +152,13 @@ def model_checks(n_coords=24, seed=70):
         T.backward(loss_value())
 
     params = list(model.parameters())
-    picks = rng.integers(0, len(params), size=n_coords)
+    picks = rng.integers(0, len(params), size=24)
     worst = 0.0
     for pi in picks:
         p = params[pi]
         flat = p.data.reshape(-1)
         ci = int(rng.integers(0, flat.size))
-        numeric = T.central_difference(loss_value, flat, ci, 1e-5)
+        numeric = T.central_difference(loss_value, flat, ci)
         worst = max(worst, float(T.relative_error(p.grad.reshape(-1)[ci], numeric)))
     return [("model_loss_sampled_coords", worst, 1e-4)]
 

@@ -387,10 +387,14 @@ FILE_FAULTS = {
         _write_bytes(b"PIEH" + struct.pack("<ii", -1, -8) + bytes(64)),
     ),
     "depth_header_negative_dims": (_frame("depth", "0000.pgm"), _write_bytes(b"P5\n-1 -8\n255\n" + bytes(8))),
+    # a dimension is digits alone: int() would take "+32" for the clip's 32
+    "depth_header_signed_dims": (_frame("depth", "0000.pgm"), _write_bytes(b"P5\n+32 +32\n255\n" + bytes(1024))),
     # a well-formed 16 px map in a 32 px clip
     "depth_map_wrong_size": (_frame("depth", "0001.pgm"), _write_bytes(b"P5\n16 16\n255\n" + bytes(256))),
     "prediction_map_missing": (_prediction("0001.pgm"), os.remove),
     "prediction_map_wrong_size": (_prediction("0000.pgm"), _write_bytes(b"P5\n16 16\n255\n" + bytes(256))),
+    # a payload fills its file exactly, as a flow field's and a checkpoint's do
+    "prediction_map_trailing_bytes": (_prediction("0000.pgm"), _resize(1)),
     # `train` writes loss_log.csv, `eval` report.csv; a directory in the way of either
     "loss_log_csv_is_a_directory": (_output("loss_log.csv"), os.makedirs),
     "report_csv_is_a_directory": (_output("report.csv"), os.makedirs),

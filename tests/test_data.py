@@ -69,12 +69,34 @@ def test_growing_object_flow_points_outward():
     assert outward[mask].max() > 0.0
 
 
+def warp_backward(image, flow):
+    """Sample ``image`` (C, H, W) at p + flow(p), bilinearly, clamped at the
+    border; comparing against the previous frame checks flow consistency."""
+    c, h, w = image.shape
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    sx = np.clip(xx + flow[0], 0.0, w - 1.0)
+    sy = np.clip(yy + flow[1], 0.0, h - 1.0)
+    x0 = np.floor(sx).astype(int)
+    y0 = np.floor(sy).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    wx = sx - x0
+    wy = sy - y0
+    out = np.empty_like(image)
+    for ch in range(c):
+        plane = image[ch]
+        top = (1 - wx) * plane[y0, x0] + wx * plane[y0, x1]
+        bot = (1 - wx) * plane[y1, x0] + wx * plane[y1, x1]
+        out[ch] = (1 - wy) * top + wy * bot
+    return out
+
+
 def test_warp_consistency_flat_background():
     spec = D.ClipSpec(seed=11, frames=6, size=64, background="flat", contrast=0.8, speed=2.0)
     samples = D.generate_clip(spec)
     errs = []
     for t in range(len(samples) - 1):
-        warped = D.warp_backward(samples[t + 1].rgb, samples[t].flow)
+        warped = warp_backward(samples[t + 1].rgb, samples[t].flow)
         errs.append(np.abs(warped - samples[t].rgb).mean())
     assert max(errs) <= 0.02
 
@@ -222,6 +244,44 @@ def test_dataset_write_deterministic_bytes(tmp_path):
     D.write_dataset(D.build_dataset(specs), tmp_path / "a")
     D.write_dataset(D.build_dataset(specs), tmp_path / "b")
     assert digest(tmp_path / "a") == digest(tmp_path / "b")
+
+
+# sha256 of every file write_dataset writes for PINNED_SPECS; flat and cluttered
+# backgrounds draw no sines, so the bytes hold on every machine
+PINNED_SPECS = [
+    D.ClipSpec(seed=81, frames=2, size=32, n_objects=2, background="cluttered", contrast=0.7, speed=1.5),
+    D.ClipSpec(seed=82, frames=2, size=32, n_objects=1, background="flat", contrast=0.9, speed=2.0),
+]
+PINNED_FILES = {
+    "clip00/depth/0000.pgm": "9c7f9144453918ed6dcc987e4e49ed3292cc714329fdde2eadf34bc3f396b728",
+    "clip00/depth/0001.pgm": "683c7e8b8ee571b60c195af865d3a6c6967f66238468cbae9dc52a4ab8ee3e8f",
+    "clip00/flow/0000.flo": "705f6f1408550f4bfd2c778e8af4c91c243dfd4b92336dca4df189a037728775",
+    "clip00/flow/0001.flo": "24cb0dd3904ef3da4327c499fb4657e27d0c14f780886b1bbc9a80ff9f7e49b7",
+    "clip00/gt/0000.pgm": "9393d6422276ac17e034f925e609ee78604a4516ece607761f0953a49c346b53",
+    "clip00/gt/0001.pgm": "ee93551767179fdc8c03717f87ab881375ca38624f426719e62bd3b14034d1b5",
+    "clip00/rgb/0000.ppm": "f9d817972288796f413c23bef293846f96b569f7bb75d4fe71880e229ec7cd79",
+    "clip00/rgb/0001.ppm": "7519b7f42f530e7ce290827039034bad52f4dea45b5e345634d43a53cf933fc8",
+    "clip01/depth/0000.pgm": "bfaa6b51fb70a0d4ad00153987fcf724205e26ae8a93ad1f1f152bd72e8e2e03",
+    "clip01/depth/0001.pgm": "1b95eb48b6486acf943ece7645fb09c40729518927668bd3fe7526a8dadb2d58",
+    "clip01/flow/0000.flo": "4ae59ebcc8e3db15e9e0d0fd871ea1da96d9d89efb3100ea13f41bf51fb29e8b",
+    "clip01/flow/0001.flo": "4715f49af1d4043ff1cd0b1aa42bc57f5cd7de0dcac43656f1e53ca196b1de31",
+    "clip01/gt/0000.pgm": "6ab860c880c8c945e2f67ded76c7849da50d65ee1661cc6c955fc9ccbeabc933",
+    "clip01/gt/0001.pgm": "732aa045954926b81658539a161e01005b1cb110ec073757409995263111f3dd",
+    "clip01/rgb/0000.ppm": "dfad5981885ac8799a24d301113d299ecdd0d13a816df143c98fb9845967ccf7",
+    "clip01/rgb/0001.ppm": "2db5f144cf583d912e2cb16f7fc70116ed4755b331ba4ef8aca17843e6fc47f2",
+    "manifest.json": "e28a9c556d1564b5222fbd8d97392a2776fdc852d91c47ce9519baf7833d83db",
+}
+
+
+def test_dataset_files_are_pinned(tmp_path):
+    """The on-disk format stays byte for byte what it is, not just the same twice."""
+    D.write_dataset(D.build_dataset(PINNED_SPECS), tmp_path)
+    written = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert written == PINNED_FILES
 
 
 def test_truncated_ppm_is_parse_error(tmp_path):

@@ -2,6 +2,7 @@
 has every name the benchmark tracer patches."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -39,3 +40,48 @@ def test_every_op_the_tracer_patches_is_a_tensor_function():
     )
     assert len(ops) >= 19
     assert [op for op in ops if not callable(getattr(T, op, None))] == []
+
+
+def test_every_name_the_tracer_patches_on_data_cli_and_model_exists():
+    """``instrument`` in ``perfbench/spans.py`` patches ``trisal.data``, ``trisal.cli`` and
+    ``trisal.model`` (and their classes) by name, given as a literal or as a loop variable over
+    a literal tuple; a renamed target would break ``perfbench/run.py --trace 1``."""
+    path = ROOT / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (instrument,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "instrument")
+    watched = ("trisal.data", "trisal.cli", "trisal.model")
+    aliases = {
+        a.asname: a.name for n in ast.walk(instrument) if isinstance(n, ast.Import) for a in n.names if a.name in watched
+    }
+    parents = {child: node for node in ast.walk(instrument) for child in ast.iter_child_nodes(node)}
+
+    def dotted(node):
+        return [*dotted(node.value), node.attr] if isinstance(node, ast.Attribute) else [node.id]
+
+    patched = set()
+    for call in ast.walk(instrument):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "patch"):
+            continue
+        owner, name = dotted(call.args[0]), call.args[1]
+        if owner[0] not in aliases:
+            continue
+        owner = (aliases[owner[0]], *owner[1:])
+        if isinstance(name, ast.Constant):
+            patched.add((owner, name.value))
+            continue
+        # a loop variable: ``for attr, label in ((name, label), ...)`` over a literal tuple
+        loop = parents[call]
+        while not (isinstance(loop, ast.For) and name.id in {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}):
+            loop = parents[loop]
+        at = [n.id for n in loop.target.elts].index(name.id)
+        patched.update((owner, row[at]) for row in ast.literal_eval(loop.iter))
+    assert {owner[0] for owner, _ in patched} == set(watched)
+    assert (("trisal.cli",), "_read_pnm") in patched and (("trisal.data",), "_read_pnm") in patched
+    missing = []
+    for (module, *attrs), name in sorted(patched):
+        obj = importlib.import_module(module)
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        if not callable(getattr(obj, name, None)):
+            missing.append(".".join([module, *attrs, name]))
+    assert missing == []
