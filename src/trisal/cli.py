@@ -9,6 +9,7 @@ set through the TRISAL_OUT environment variable; flags win over it.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -216,9 +217,12 @@ def build_parser():
     return parser
 
 
+# ``main`` parses with one parser per process: ``parse_args`` leaves it as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, ContractError, ShapeError) as exc:

@@ -394,13 +394,16 @@ def write_flo(path, flow):
 
 
 def read_flo(path, size):
-    """A ``size`` x ``size`` flow field as (2, H, W) float64."""
+    """A ``size`` x ``size`` flow field as (2, H, W) float64; every value finite."""
     raw = read_bytes(path)
     if len(raw) < 12 or raw[:4] != b"PIEH":
         raise DataError(f"{path}: expected PIEH magic and two int32 dimensions at byte 0, got {raw[:12]!r}")
     w, h = struct.unpack("<ii", raw[4:12])
     _check_size(path, w, h, size)
-    return np.ascontiguousarray(read_array(path, raw, 12, "<f4", (h, w, 2)).transpose(2, 0, 1), np.float64)
+    flow = np.ascontiguousarray(read_array(path, raw, 12, "<f4", (h, w, 2)).transpose(2, 0, 1), np.float64)
+    if not np.isfinite(flow).all():
+        raise DataError(f"{path}: flow field holds {np.count_nonzero(~np.isfinite(flow))} non-finite values (NaN or inf)")
+    return flow
 
 
 # ---------------------------------------------------------------------------

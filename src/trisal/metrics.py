@@ -81,14 +81,18 @@ def max_f_measure(pred, gt):
 
 def _object_similarity(x):
     m = x.mean()
-    s = x.std()  # population
+    d = (x - m).ravel()
+    s = np.sqrt(d @ d / d.size)  # population
     return 2.0 * m / (m * m + 1.0 + 2.0 * s)
 
 
-def _region_similarity(x, y):
-    mx, my = x.mean(), y.mean()
-    vx, vy = x.var(), y.var()  # population
-    cov = ((x - mx) * (y - my)).mean()
+def _region_similarity(x, y, n_fg):
+    """Similarity of the prediction ``x`` and the binary mask ``y``, which holds
+    ``n_fg`` foreground pixels, from dot products of the centred deviations."""
+    n = x.size
+    mx, my = x.mean(), n_fg / n
+    dx, dy = (x - mx).ravel(), (y - my).ravel()
+    vx, vy, cov = dx @ dx / n, dy @ dy / n, dx @ dy / n  # population
     num = 4.0 * mx * my * cov
     den = (mx * mx + my * my) * (vx + vy)
     if num == 0.0:
@@ -96,37 +100,38 @@ def _region_similarity(x, y):
     return num / den
 
 
+def _mean_index(counts):
+    """Mean index weighted by the integer ``counts``; the sums are exact, so it is
+    the same float as the mean of the indices that ``np.nonzero`` lists."""
+    return counts @ np.arange(counts.size) / counts.sum()
+
+
 def s_measure(pred, gt):
     """Structure measure: object term + region term, balanced by ``ALPHA``."""
     pred, gt = _check_pair(pred, gt)
-    mu = gt.mean()
-    if mu == 0.0:
+    fg = gt == 1.0
+    rows, cols = np.count_nonzero(fg, axis=1), np.count_nonzero(fg, axis=0)
+    total_fg = rows.sum()
+    if total_fg == 0:
         return float(np.clip(1.0 - pred.mean(), 0.0, 1.0))
-    if mu == 1.0:
+    if total_fg == fg.size:
         return float(np.clip(_object_similarity(pred), 0.0, 1.0))
 
-    s_obj = mu * _object_similarity(pred[gt == 1.0]) + (1.0 - mu) * _object_similarity(
-        1.0 - pred[gt == 0.0]
-    )
+    mu = total_fg / fg.size
+    s_obj = mu * _object_similarity(pred[fg]) + (1.0 - mu) * _object_similarity(1.0 - pred[~fg])
 
-    rows, cols = np.nonzero(gt)
-    cy = int(np.floor(rows.mean() + 0.5))
-    cx = int(np.floor(cols.mean() + 0.5))
-    total_fg = gt.sum()
+    cy, cx = (int(np.floor(_mean_index(c) + 0.5)) for c in (rows, cols))
+    top, left = rows[: cy + 1].sum(), cols[: cx + 1].sum()
+    top_left = np.count_nonzero(fg[: cy + 1, : cx + 1])
     s_reg = 0.0
-    for rs, cs in (
-        (slice(0, cy + 1), slice(0, cx + 1)),
-        (slice(0, cy + 1), slice(cx + 1, None)),
-        (slice(cy + 1, None), slice(0, cx + 1)),
-        (slice(cy + 1, None), slice(cx + 1, None)),
+    for rs, cs, q in (
+        (slice(0, cy + 1), slice(0, cx + 1), top_left),
+        (slice(0, cy + 1), slice(cx + 1, None), top - top_left),
+        (slice(cy + 1, None), slice(0, cx + 1), left - top_left),
+        (slice(cy + 1, None), slice(cx + 1, None), total_fg - top - left + top_left),
     ):
-        gq = gt[rs, cs]
-        if gq.size == 0:
-            continue
-        weight = gq.sum() / total_fg
-        if weight == 0.0:
-            continue
-        s_reg += weight * _region_similarity(pred[rs, cs], gq)
+        if q:  # a quadrant with no foreground, an empty one included, weighs 0
+            s_reg += q / total_fg * _region_similarity(pred[rs, cs], gt[rs, cs], q)
 
     s = ALPHA * s_obj + (1.0 - ALPHA) * s_reg
     return float(np.clip(s, 0.0, 1.0))

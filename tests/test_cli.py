@@ -129,6 +129,29 @@ def test_predict_roundtrips_through_eval(workdir, tmp_path):
         assert abs(a[key] - b[key]) <= 0.005, key
 
 
+def test_cached_parser_carries_nothing_between_calls(workdir, tmp_path, capsys):
+    """``main`` parses every call with the one parser of the process: an
+    ``eval --pred-dir``, then a bad argument, then an ``eval --checkpoint``
+    that scores as one parsed by a fresh ``build_parser()``."""
+    ck = os.path.join(workdir["train"], "checkpoint")
+    common = ["--config", workdir["cfg"], "--data", workdir["data"]]
+    pred = tmp_path / "pred"
+    shutil.copytree(os.path.join(workdir["data"], "clip00", "gt"), pred / "clip00")  # the masks as maps
+    assert cli.main(["eval", "--pred-dir", str(pred), *common, "--out", str(tmp_path / "maps")]) == 0
+    assert json.loads((tmp_path / "maps" / "report.json").read_text())["aggregate"]["mae"] == 0.0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert cli._parser() is cli._parser()
+    argv = ["eval", "--checkpoint", ck, *common, "--out"]
+    assert cli._parser().parse_args([*argv, "o"]).pred_dir is None
+    assert cli.main([*argv, str(tmp_path / "cached")]) == 0
+    fresh = cli.build_parser().parse_args([*argv, str(tmp_path / "fresh")])
+    assert fresh.fn(fresh) == 0
+    assert _tree_bytes(tmp_path / "cached") == _tree_bytes(tmp_path / "fresh")
+    assert capsys.readouterr().err.count("ERROR") == 0
+
+
 def test_gradcheck_ops_passes(capsys):
     assert cli.main(["gradcheck", "--scope", "ops"]) == 0
     out = capsys.readouterr().out
@@ -173,10 +196,18 @@ def _drop_manifest_frames(data_dir):
         json.dump(doc, fh)
 
 
+def _nan_in_flow(data_dir):
+    """One NaN as the first value of the first flow field's payload."""
+    with open(os.path.join(data_dir, "clip00", "flow", "0000.flo"), "r+b") as fh:
+        fh.seek(12)
+        fh.write(struct.pack("<f", float("nan")))
+
+
 DATA_FAULTS = [
     ("missing_rgb_frame", lambda d: os.remove(os.path.join(d, "clip00", "rgb", "0003.ppm")), "0003.ppm"),
     ("missing_flow_frame", lambda d: os.remove(os.path.join(d, "clip00", "flow", "0000.flo")), "0000.flo"),
     ("manifest_entry_without_frames", _drop_manifest_frames, "'frames'"),
+    ("flow_non_finite", _nan_in_flow, "0000.flo: flow field holds 1 non-finite"),
 ]
 
 

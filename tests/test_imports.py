@@ -42,14 +42,15 @@ def test_every_op_the_tracer_patches_is_a_tensor_function():
     assert [op for op in ops if not callable(getattr(T, op, None))] == []
 
 
-def test_every_name_the_tracer_patches_on_data_cli_and_model_exists():
-    """``instrument`` in ``perfbench/spans.py`` patches ``trisal.data``, ``trisal.cli`` and
-    ``trisal.model`` (and their classes) by name, given as a literal or as a loop variable over
-    a literal tuple; a renamed target would break ``perfbench/run.py --trace 1``."""
+def test_every_name_the_tracer_patches_on_data_cli_model_and_metrics_exists():
+    """``instrument`` in ``perfbench/spans.py`` patches ``trisal.data``, ``trisal.cli``,
+    ``trisal.model`` (and their classes) and ``trisal.metrics`` by name, given as a literal or as
+    a loop variable over a literal tuple; a renamed target would break ``perfbench/run.py
+    --trace 1``, and one the package stopped calling through its module would leave its row 0."""
     path = ROOT / "perfbench" / "spans.py"
     tree = ast.parse(path.read_text(), str(path))
     (instrument,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "instrument")
-    watched = ("trisal.data", "trisal.cli", "trisal.model")
+    watched = ("trisal.data", "trisal.cli", "trisal.model", "trisal.metrics")
     aliases = {
         a.asname: a.name for n in ast.walk(instrument) if isinstance(n, ast.Import) for a in n.names if a.name in watched
     }
@@ -77,6 +78,8 @@ def test_every_name_the_tracer_patches_on_data_cli_and_model_exists():
         patched.update((owner, row[at]) for row in ast.literal_eval(loop.iter))
     assert {owner[0] for owner, _ in patched} == set(watched)
     assert (("trisal.cli",), "_read_pnm") in patched and (("trisal.data",), "_read_pnm") in patched
+    metric_names = {"mae", "max_f_measure", "s_measure", "evaluate_sequences"}
+    assert metric_names <= {name for owner, name in patched if owner == ("trisal.metrics",)}
     missing = []
     for (module, *attrs), name in sorted(patched):
         obj = importlib.import_module(module)

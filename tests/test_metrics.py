@@ -260,6 +260,18 @@ def test_s_measure_perfect_binary():
         assert abs(MT.s_measure(gt, gt) - 1.0) <= 1e-6
 
 
+def test_region_similarity_of_a_mask_with_itself_is_exactly_one():
+    """With x == y the region term's vx, vy and cov are the same float, so a map
+    equal to its mask scores every quadrant exactly 1, which the benchmark's
+    planted clip relies on."""
+    for seed in range(300):
+        g = rng(seed)
+        y = (g.uniform(0, 1, tuple(g.integers(1, 40, 2))) < g.uniform(0.05, 0.95)).astype(np.float64)
+        n_fg = np.count_nonzero(y)
+        if n_fg:
+            assert MT._region_similarity(y, y, n_fg) == 1.0, seed
+
+
 def test_s_measure_degenerate_gt():
     pred = rng(6).uniform(0, 1, (8, 8))
     zeros = np.zeros((8, 8))
@@ -274,6 +286,52 @@ def test_s_measure_matches_independent_oracle():
     for seed in range(60):
         pred, gt = random_pair(500 + seed, hw=8)
         npt.assert_allclose(MT.s_measure(pred, gt), oracle_s_measure(pred, gt), atol=1e-9)
+
+
+def _s_measure_edge_cases():
+    """(pred, gt) params, named by case, that reach the S-measure's edge branches."""
+    g = rng(15)
+    mixed = (g.uniform(0, 1, (8, 8)) < 0.5).astype(np.float64)
+    block = np.zeros((8, 8))
+    block[:5, :5] = 1.0  # centroid (2, 2): the top-left quadrant is all foreground
+    block[6, 7] = 1.0
+    block_pred = g.uniform(0, 1, (8, 8))
+    block_pred[:3, :3] = 0.5
+    one_quadrant = g.uniform(0, 1, (8, 8))
+    one_quadrant[:5, :5] = 0.25  # the top-left quadrant of `mixed`, whose centroid is (4, 4)
+    last_row, last_col, single = np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((8, 8))
+    last_row[7, 2:6] = 1.0
+    last_col[1:5, 7] = 1.0
+    single[3, 5] = 1.0
+    row = (g.uniform(0, 1, (1, 9)) < 0.5).astype(np.float64)
+    row[0, :2] = (0.0, 1.0)
+    yy, xx = np.mgrid[:256, :256]
+    disc = (((yy - 100) ** 2 + (xx - 150) ** 2) < 60**2).astype(np.float64)
+    for name, pred, gt in (
+        ("constant_map", np.full((8, 8), 0.5), mixed),
+        ("constant_zero_map", np.zeros((8, 8)), mixed),
+        ("constant_map_full_quadrant", np.full((8, 8), 0.5), block),
+        ("full_quadrant", g.uniform(0, 1, (8, 8)), block),
+        ("constant_full_quadrant", block_pred, block),
+        ("constant_mixed_quadrant", one_quadrant, mixed),
+        ("centroid_on_last_row", g.uniform(0, 1, (8, 8)), last_row),
+        ("centroid_on_last_col", g.uniform(0, 1, (8, 8)), last_col),
+        ("single_pixel", g.uniform(0, 1, (8, 8)), single),
+        ("one_row", g.uniform(0, 1, (1, 9)), row),
+        ("one_col", g.uniform(0, 1, (9, 1)), row.T.copy()),
+        ("eight_bit_disc", g.integers(0, 256, (256, 256)) / 255.0, disc),
+        ("eight_bit_noise", g.integers(0, 256, (256, 256)) / 255.0, (g.uniform(0, 1, (256, 256)) < 0.3) * 1.0),
+    ):
+        yield pytest.param(pred, gt, id=name)
+
+
+@pytest.mark.parametrize("pred,gt", _s_measure_edge_cases())
+def test_s_measure_edge_cases_match_oracle(pred, gt):
+    npt.assert_allclose(MT.s_measure(pred, gt), oracle_s_measure(pred, gt), rtol=0, atol=1e-9)
+    rows, cols = np.nonzero(gt)
+    fg = gt == 1.0
+    centroid = MT._mean_index(np.count_nonzero(fg, axis=1)), MT._mean_index(np.count_nonzero(fg, axis=0))
+    assert centroid == (rows.mean(), cols.mean())  # the same floats, to the bit
 
 
 def test_s_measure_not_permutation_invariant():
@@ -331,6 +389,22 @@ def test_evaluate_two_sequences_hand_average():
     seq_two_mae = MT.mae(p3, g3)
     npt.assert_allclose(report.per_sequence["one"]["mae"], seq_one_mae, atol=1e-15)
     npt.assert_allclose(report.aggregate["mae"], (seq_one_mae + seq_two_mae) / 2.0, atol=1e-15)
+
+
+def test_evaluate_calls_each_metric_through_the_module_once_per_frame(monkeypatch):
+    """The benchmark tracer times ``mae``, ``max_f_measure`` and ``s_measure`` by
+    wrapping the module's names, so ``evaluate_sequences`` must call them there."""
+    calls = {"mae": 0, "max_f_measure": 0, "s_measure": 0}
+    for name in calls:
+
+        def counted(pred, gt, fn=getattr(MT, name), name=name):
+            calls[name] += 1
+            return fn(pred, gt)
+
+        monkeypatch.setattr(MT, name, counted)
+    frames = [random_pair(700 + seed, hw=8) for seed in range(5)]
+    MT.evaluate_sequences([("a", frames[:3]), ("b", frames[3:])])
+    assert calls == {"mae": 5, "max_f_measure": 5, "s_measure": 5}
 
 
 def test_evaluate_rejects_empty_sequence():
