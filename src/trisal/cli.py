@@ -75,9 +75,9 @@ def _sequences_from_model(model, clips):
 def cmd_gen_data(args):
     cfg, out, _ = _run(args)
     echo_config(cfg, out)
-    clips = D.build_dataset(cfg.specs())
-    D.write_dataset(clips, out)
-    print(f"wrote {len(clips)} clips to {out}")
+    specs = cfg.specs()
+    D.write_dataset(D.iter_dataset(specs), out)  # one clip in memory at a time
+    print(f"wrote {len(specs)} clips to {out}")
     return 0
 
 

@@ -6,7 +6,8 @@ flow field to the next frame, and a binary foreground mask. Objects move
 under known per-frame affine motion (translation plus isotropic growth about
 the object center), so the flow is analytic ground truth rather than an
 estimate. RGB and depth are snapped to the 8-bit grid and flow to 32-bit
-floats at generation time, making disk round-trips bit-identical.
+floats at generation time; a sample keeps those uint8 and float32 planes and
+a bool mask, 13 bytes per pixel, so disk round-trips are bit-identical.
 """
 
 import contextlib
@@ -61,10 +62,17 @@ class ClipSpec:
 
 @dataclass(eq=False)
 class TrimodalSample:
-    rgb: np.ndarray  # (3, H, W) in [0, 1], 8-bit aligned
-    depth: np.ndarray  # (1, H, W) in [0, 1], larger = nearer
-    flow: np.ndarray  # (2, H, W) pixel displacements (u right, v down)
-    gt: np.ndarray  # (1, H, W) binary {0, 1}
+    """A frame as its files hold it; ``rgb``, ``depth``, ``flow`` and ``gt`` are float64 copies made per access."""
+
+    rgb8: np.ndarray  # (3, H, W) uint8
+    depth8: np.ndarray  # (1, H, W) uint8, larger = nearer
+    flow32: np.ndarray  # (2, H, W) float32 pixel displacements (u right, v down)
+    mask: np.ndarray  # (1, H, W) bool
+
+    rgb = property(lambda self: self.rgb8 / 255.0)  # in [0, 1], 8-bit aligned
+    depth = property(lambda self: self.depth8 / 255.0)
+    flow = property(lambda self: self.flow32.astype(np.float64))
+    gt = property(lambda self: self.mask.astype(np.float64))  # binary {0, 1}
 
     @cached_property
     def depth3(self):
@@ -169,7 +177,7 @@ def render_scene(scene):
         flow = np.zeros((2, size, size))
         if scene.background == "moving":
             flow[0] = _bg_row_speed(scene, yy_norm)
-        gt = np.zeros((1, size, size))
+        gt = np.zeros((1, size, size), dtype=bool)
         for obj in scene.clutter:
             mask = _object_mask(obj, t, xx, yy)
             rgb[:, mask] = obj.color[:, None]
@@ -182,11 +190,9 @@ def render_scene(scene):
             u, v = _object_flow(obj, t, xx, yy)
             flow[0][mask] = u[mask]
             flow[1][mask] = v[mask]
-            gt[0] = np.maximum(gt[0], mask.astype(np.float64))
-        rgb = np.round(np.clip(rgb, 0.0, 1.0) * 255.0) / 255.0
-        depth = np.round(np.clip(depth, 0.0, 1.0) * 255.0) / 255.0
-        flow = flow.astype(np.float32).astype(np.float64)
-        samples.append(TrimodalSample(rgb=rgb, depth=depth, flow=flow, gt=gt))
+            gt[0] |= mask
+        rgb8, depth8 = (np.round(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8) for x in (rgb, depth))
+        samples.append(TrimodalSample(rgb8=rgb8, depth8=depth8, flow32=flow.astype(np.float32), mask=gt))
     return samples
 
 
@@ -197,7 +203,7 @@ def _validate_samples(scene, samples):
             if min(cx - hx, cy - hy) < 1.0 or max(cx + hx, cy + hy) > scene.size - 2.0:
                 return f"object leaves the frame at step {t}"
     for t, s in enumerate(samples):
-        cov = s.gt.mean()
+        cov = s.mask.mean()
         if not MIN_COVERAGE <= cov <= MAX_COVERAGE:
             return f"mask coverage {cov:.3f} at frame {t} outside [{MIN_COVERAGE}, {MAX_COVERAGE}]"
     return None
@@ -383,24 +389,20 @@ def _read_pnm(path, magic, size):
 
 def write_flo(path, flow):
     """flow: (2, H, W) float; stored as interleaved little-endian float32."""
-    h, w = flow.shape[1], flow.shape[2]
-    inter = np.empty((h, w, 2), dtype="<f4")
-    inter[:, :, 0] = flow[0]
-    inter[:, :, 1] = flow[1]
     with _frame_file(path) as fh:
         fh.write(b"PIEH")
-        fh.write(struct.pack("<ii", w, h))
-        fh.write(inter.tobytes())
+        fh.write(struct.pack("<ii", flow.shape[2], flow.shape[1]))
+        fh.write(flow.transpose(1, 2, 0).astype("<f4").tobytes())
 
 
 def read_flo(path, size):
-    """A ``size`` x ``size`` flow field as (2, H, W) float64; every value finite."""
+    """A ``size`` x ``size`` flow field as (2, H, W) float32; every value finite."""
     raw = read_bytes(path)
     if len(raw) < 12 or raw[:4] != b"PIEH":
         raise DataError(f"{path}: expected PIEH magic and two int32 dimensions at byte 0, got {raw[:12]!r}")
     w, h = struct.unpack("<ii", raw[4:12])
     _check_size(path, w, h, size)
-    flow = np.ascontiguousarray(read_array(path, raw, 12, "<f4", (h, w, 2)).transpose(2, 0, 1), np.float64)
+    flow = np.ascontiguousarray(read_array(path, raw, 12, "<f4", (h, w, 2)).transpose(2, 0, 1), np.float32)
     if not np.isfinite(flow).all():
         raise DataError(f"{path}: flow field holds {np.count_nonzero(~np.isfinite(flow))} non-finite values (NaN or inf)")
     return flow
@@ -427,11 +429,10 @@ def write_dataset(clips, out_dir):
     for clip in clips:
         base = os.path.join(out_dir, clip.name)
         for i, s in enumerate(clip.samples):
-            rgb8 = np.round(s.rgb * 255.0).astype(np.uint8).transpose(1, 2, 0)
-            _write_pnm(_frame(base, "rgb", i), np.ascontiguousarray(rgb8), "P6")
-            _write_pnm(_frame(base, "gt", i), (s.gt[0] * 255.0).astype(np.uint8), "P5")
-            _write_pnm(_frame(base, "depth", i), np.round(s.depth[0] * 255.0).astype(np.uint8), "P5")
-            write_flo(_frame(base, "flow", i), s.flow)
+            _write_pnm(_frame(base, "rgb", i), s.rgb8.transpose(1, 2, 0), "P6")
+            _write_pnm(_frame(base, "gt", i), s.mask[0].astype(np.uint8) * 255, "P5")
+            _write_pnm(_frame(base, "depth", i), s.depth8[0], "P5")
+            write_flo(_frame(base, "flow", i), s.flow32)
         entries.append({"name": clip.name, "frames": len(clip.samples), "spec": asdict(clip.spec)})
     write_json(manifest, {"clips": entries})
 
@@ -454,46 +455,45 @@ def _read_manifest(data_dir):
 
 
 def _read_mask(base, i, size):
-    """Frame ``i``'s mask as a (1, size, size) binary {0, 1} plane."""
+    """Frame ``i``'s mask as a (size, size) bool plane."""
     path = _frame(base, "gt", i)
     gt8 = _read_pnm(path, "P5", size)
     if np.count_nonzero((gt8 != 0) & (gt8 != 255)):
         bad = np.setdiff1d(np.unique(gt8), [0, 255])
         raise DataError(f"{path}: non-binary values {bad.tolist()}")
-    return (gt8[None] == 255).astype(np.float64)
+    return gt8 == 255
+
+
+def _read_sample(base, i, size):
+    """Frame ``i`` of the clip directory ``base``, as its files hold it."""
+    return TrimodalSample(
+        rgb8=np.ascontiguousarray(_read_pnm(_frame(base, "rgb", i), "P6", size).transpose(2, 0, 1)),
+        mask=_read_mask(base, i, size)[None],
+        depth8=_read_pnm(_frame(base, "depth", i), "P5", size)[None],
+        flow32=read_flo(_frame(base, "flow", i), size),
+    )
 
 
 def read_dataset(data_dir):
-    clips = []
-    for name, base, frames, spec in _read_manifest(data_dir):
-        samples = []
-        for i in frames:
-            rgb8 = _read_pnm(_frame(base, "rgb", i), "P6", spec.size)
-            gt = _read_mask(base, i, spec.size)
-            depth8 = _read_pnm(_frame(base, "depth", i), "P5", spec.size)
-            flow = read_flo(_frame(base, "flow", i), spec.size)
-            samples.append(
-                TrimodalSample(
-                    rgb=rgb8.transpose(2, 0, 1).astype(np.float64) / 255.0,
-                    depth=depth8[None].astype(np.float64) / 255.0,
-                    flow=flow,
-                    gt=gt,
-                )
-            )
-        clips.append(Clip(name=name, spec=spec, samples=samples))
-    return clips
+    clips = _read_manifest(data_dir)
+    return [Clip(name, spec, [_read_sample(base, i, spec.size) for i in frames]) for name, base, frames, spec in clips]
 
 
 def read_masks(data_dir):
-    """(name, [(H, W) binary mask per frame]) for each clip: the manifest and
+    """(name, [(H, W) float64 {0, 1} mask per frame]) for each clip: the manifest and
     the masks only, without decoding RGB, depth or flow."""
     clips = _read_manifest(data_dir)
-    return [(name, [_read_mask(base, i, spec.size)[0] for i in frames]) for name, base, frames, spec in clips]
+    return [(name, [_read_mask(base, i, spec.size).astype(float) for i in frames]) for name, base, frames, spec in clips]
+
+
+def iter_dataset(specs):
+    """Generate one clip per spec, named clip00, clip01, ..., each when it is asked for."""
+    return (Clip(name=f"clip{i:02d}", spec=spec, samples=generate_clip(spec)) for i, spec in enumerate(specs))
 
 
 def build_dataset(specs):
-    """Generate one clip per spec, named clip00, clip01, ..."""
-    return [Clip(name=f"clip{i:02d}", spec=spec, samples=generate_clip(spec)) for i, spec in enumerate(specs)]
+    """``iter_dataset`` as a list."""
+    return list(iter_dataset(specs))
 
 
 # ---------------------------------------------------------------------------

@@ -64,22 +64,31 @@ def from_fields(cls, d, what, parse=None):
     return cls(**values)
 
 
-def read_bytes(path, error=DataError):
-    """The whole file at ``path``; a missing or unreadable file is ``error``."""
+@contextlib.contextmanager
+def open_to_read(path, error=DataError):
+    """``path`` open for binary reading; a missing or unreadable file is ``error``."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         raise error(f"{path}: not found or unreadable: {exc.strerror or exc}") from None
 
 
+def read_bytes(path, error=DataError):
+    """The whole file at ``path``, opened by ``open_to_read``."""
+    with open_to_read(path, error) as fh:
+        return fh.read()
+
+
+def check_payload(path, size, start, need):
+    """A ``size``-byte file whose payload from ``start`` on is not ``need`` bytes is one ``DataError``."""
+    if size - start != need:
+        raise DataError(f"{path}: expected {need} payload bytes at byte {start}, got {max(0, size - start)}")
+
+
 def read_array(path, raw, start, dtype, shape):
-    """The bytes of ``raw`` from ``start`` on, read from ``path``, as a read-only
-    ``dtype`` array of ``shape``. They must fill the file exactly: a short or a
-    long payload is one ``DataError`` naming the path and the offset."""
-    need = np.dtype(dtype).itemsize * math.prod(shape)
-    if len(raw) - start != need:
-        raise DataError(f"{path}: expected {need} payload bytes at byte {start}, got {max(0, len(raw) - start)}")
+    """``raw[start:]``, read from ``path``, as a read-only ``dtype`` array of ``shape``, after ``check_payload``."""
+    check_payload(path, len(raw), start, np.dtype(dtype).itemsize * math.prod(shape))
     return np.frombuffer(raw, dtype, offset=start).reshape(shape)
 
 

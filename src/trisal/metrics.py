@@ -49,7 +49,8 @@ def _check_pair(pred, gt):
 def mae(pred, gt):
     """Mean absolute difference between the saliency map and the mask."""
     pred, gt = _check_pair(pred, gt)
-    return float(np.abs(pred - gt).mean())
+    d = pred - gt
+    return float(np.abs(d, out=d).mean())
 
 
 def _count_above(values, ts):

@@ -9,6 +9,7 @@ streams, the main stream, or the block that fills one stage.
 """
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import BConv, Conv2d, Encoder, Module, ModuleList
 from .errors import ConfigError, ContractError, DataError, NumericalError
-from .errors import from_fields, parse_json, read_array, read_bytes, write_bytes
+from .errors import check_payload, from_fields, open_to_read, parse_json, write_bytes
 from .fusion import GATE_RATIO, ConcatFuse, CrossModalAttention, FlatRefinementFusion, RefinementFusion, StreamSelfAttention
 from .tensor import Tensor
 
@@ -316,22 +317,26 @@ def _step(v):
 def load_checkpoint(path):
     """(model, step) from a ``save_checkpoint`` file. The header's tensor
     list must equal the built model's and the payload must hold exactly their
-    bytes before any array is filled, so no shape read from disk reaches numpy."""
-    raw = read_bytes(path)
-    header = raw[: raw.find(b"\n")] if b"\n" in raw else raw
-    config, step, listed = parse_json(
-        path, header, lambda h: (ModelConfig.from_dict(h["config"]), _step(h["step"]), list(h["tensors"]))
-    )
-    model = build(config)
-    state = model.state_dict()
-    names = sorted(state)
-    # compared as text, so a dimension of 1.0 or true is not 1
-    got, need = [repr(e) for e in listed], [repr([n, list(state[n].shape)]) for n in names]
-    if got != need:
-        i = next((i for i, (a, b) in enumerate(zip(got, need)) if a != b), min(len(got), len(need)))
-        a, b = (e[i][:120] if i < len(e) else "nothing" for e in (got, need))
-        raise DataError(f"{path}: tensor {i} is {a}, the {config.variant} model needs {b}")
-    sizes = [state[n].data.size for n in names]
-    parts = np.split(read_array(path, raw, len(header) + 1, "<f8", (sum(sizes),)), np.cumsum(sizes)[:-1])
-    model.load_state_dict({n: part.reshape(state[n].shape) for n, part in zip(names, parts)})
+    bytes before any tensor is read straight into the model, so no shape read
+    from disk reaches numpy."""
+    with open_to_read(path) as fh:
+        header = fh.readline()
+        config, step, listed = parse_json(
+            path, header, lambda h: (ModelConfig.from_dict(h["config"]), _step(h["step"]), list(h["tensors"]))
+        )
+        model = build(config)
+        state = model.state_dict()
+        names = sorted(state)
+        # compared as text, so a dimension of 1.0 or true is not 1
+        got, need = [repr(e) for e in listed], [repr([n, list(state[n].shape)]) for n in names]
+        if got != need:
+            i = next((i for i, (a, b) in enumerate(zip(got, need)) if a != b), min(len(got), len(need)))
+            a, b = (e[i][:120] if i < len(e) else "nothing" for e in (got, need))
+            raise DataError(f"{path}: tensor {i} is {a}, the {config.variant} model needs {b}")
+        arrays = [state[n].data for n in names]
+        check_payload(path, os.fstat(fh.fileno()).st_size, len(header), sum(a.nbytes for a in arrays))
+        for a in arrays:
+            fh.readinto(a)
+            if not np.little_endian:  # the file holds little-endian float64
+                a.byteswap(inplace=True)
     return model, step

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from trisal import cli
+from trisal import data as D
 from trisal.data import _read_pnm, _write_pnm
 
 TINY_RUN = {
@@ -58,6 +59,40 @@ def test_gen_data_layout(workdir):
     for sub, ext in (("rgb", "ppm"), ("gt", "pgm"), ("depth", "pgm"), ("flow", "flo")):
         for i in range(3):
             assert os.path.isfile(os.path.join(data, "clip00", sub, f"{i:04d}.{ext}"))
+
+
+def test_gen_data_writes_each_clip_as_it_is_generated(tmp_path, monkeypatch):
+    """The same bytes as writing a built dataset, with a clip's frames on disk before the next clip is generated."""
+    run = {"clips": [{"seed": 5, "frames": 2, "size": 32}, {"seed": 6, "frames": 3, "size": 32, "background": "moving"}]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(run))
+    out = tmp_path / "gen"
+    written_first = []
+    generate = D.generate_clip
+
+    def spy(spec):
+        written_first.append(os.path.isfile(out / "clip00" / "flow" / "0001.flo"))
+        return generate(spec)
+
+    monkeypatch.setattr(D, "generate_clip", spy)
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert written_first == [False, True]
+    monkeypatch.undo()
+    D.write_dataset(D.build_dataset([D.ClipSpec.from_dict(c) for c in run["clips"]]), tmp_path / "built")
+    built = _tree_bytes(tmp_path / "built")
+    assert {k: v for k, v in _tree_bytes(out).items() if k != "config.json"} == built
+
+
+def test_gen_data_unrealizable_clip_after_a_good_one_exits_2(tmp_path, capsys):
+    # an object moving up to 40 px a frame leaves a 16 px frame on every layout seed 1 draws
+    run = {"clips": [{"seed": 5, "frames": 2, "size": 32}, {"seed": 1, "frames": 8, "size": 16, "speed": 40.0}]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(run))
+    out = tmp_path / "gen"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR CONFIG: cannot realize clip spec"), lines
+    assert os.path.isdir(out / "clip00") and not os.path.exists(out / "manifest.json")
 
 
 def test_train_artifacts(workdir):

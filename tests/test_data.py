@@ -1,6 +1,7 @@
 """Unit tests for the synthetic clip generator and its file formats."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -208,6 +209,44 @@ def test_sample_derived_views():
     assert s.flow3.min() >= 0.0 and s.flow3.max() <= 1.0
 
 
+STORED = {"rgb8": (np.uint8, 3), "depth8": (np.uint8, 1), "flow32": (np.float32, 2), "mask": (np.bool_, 1)}
+
+
+def test_sample_stores_the_planes_its_files_hold(tmp_path):
+    clips = D.build_dataset([D.ClipSpec(seed=43, frames=2, size=48, background="moving", n_objects=2)])
+    D.write_dataset(clips, tmp_path / "ds")
+    for s in clips[0].samples + D.read_dataset(tmp_path / "ds")[0].samples:
+        for fld, (dtype, channels) in STORED.items():
+            a = getattr(s, fld)
+            assert a.dtype == dtype and a.shape == (channels, 48, 48) and a.flags.c_contiguous, fld
+        for fld in ("rgb", "depth", "flow", "gt"):
+            assert getattr(s, fld).dtype == np.float64 and getattr(s, fld) is not getattr(s, fld), fld
+        assert s.depth3 is s.depth3 and s.flow3 is s.flow3
+        # the float64 planes are what generation snapped them to: the 8-bit grid and float32
+        for v, v8 in ((s.rgb, s.rgb8), (s.depth, s.depth8)):
+            assert v.tobytes() == (np.round(v * 255.0) / 255.0).tobytes()
+            assert v.tobytes() == (v8.astype(np.float64) / 255.0).tobytes()
+        assert s.flow.tobytes() == s.flow.astype(np.float32).astype(np.float64).tobytes()
+        assert s.flow.astype(np.float32).tobytes() == s.flow32.tobytes()
+        assert np.array_equal(np.unique(s.gt), [0.0, 1.0]) and np.array_equal(s.gt == 1.0, s.mask)
+
+
+def test_a_frame_holds_13_bytes_per_pixel(tmp_path):
+    """uint8 RGB, depth and mask plus float32 flow; the float64 planes were 56."""
+    spec = D.ClipSpec(seed=44, frames=1, size=256)
+    D.write_dataset(D.build_dataset([spec]), tmp_path / "ds")
+    for make in (lambda: D.generate_clip(spec), lambda: D.read_dataset(tmp_path / "ds")):
+        make()  # warm up any lazily built module state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = make()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 1 and held <= 13 * 256 * 256 + 8192, held / 256**2
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -225,8 +264,9 @@ def test_dataset_roundtrip_bit_identical(tmp_path):
     for c0, c1 in zip(clips, back):
         assert c0.spec == c1.spec
         for s0, s1 in zip(c0.samples, c1.samples):
-            for fld in ("rgb", "depth", "flow", "gt"):
-                assert getattr(s0, fld).tobytes() == getattr(s1, fld).tobytes(), fld
+            for fld in ("rgb8", "depth8", "flow32", "mask", "rgb", "depth", "flow", "gt", "depth3", "flow3"):
+                a0, a1 = getattr(s0, fld), getattr(s1, fld)
+                assert a0.dtype == a1.dtype and a0.shape == a1.shape and a0.tobytes() == a1.tobytes(), fld
 
 
 def test_dataset_write_deterministic_bytes(tmp_path):

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -559,6 +560,23 @@ def test_truncated_checkpoint_is_data_error(tmp_path):
         path.write_bytes(whole[:cut])
         with pytest.raises(DataError, match=re.escape(str(path))):
             M.load_checkpoint(path)
+
+
+def test_checkpoint_load_reads_each_tensor_into_the_model(tmp_path):
+    """No whole-file buffer beside the model it fills: that buffer took the peak
+    to 2.5x the model's bytes at this size."""
+    model = M.build(small_config())
+    M.save_checkpoint(tmp_path / "ck", model, step=4)
+    nbytes = sum(t.data.nbytes for t in model.state_dict().values())
+    tracemalloc.start()
+    try:
+        loaded, step = M.load_checkpoint(tmp_path / "ck")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step == 4 and peak <= 1.6 * nbytes, peak / nbytes
+    s1, s2 = model.state_dict(), loaded.state_dict()
+    assert all(s1[k].data.tobytes() == s2[k].data.tobytes() for k in s1)
 
 
 def test_predict_shape_and_range():
