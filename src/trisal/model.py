@@ -316,9 +316,8 @@ def _step(v):
 
 def load_checkpoint(path):
     """(model, step) from a ``save_checkpoint`` file. The header's tensor
-    list must equal the built model's and the payload must hold exactly their
-    bytes before any tensor is read straight into the model, so no shape read
-    from disk reaches numpy."""
+    list must equal the built model's, and the payload their bytes, before any
+    tensor is read straight into the model: no shape read from disk reaches numpy."""
     with open_to_read(path) as fh:
         header = fh.readline()
         config, step, listed = parse_json(
@@ -336,7 +335,8 @@ def load_checkpoint(path):
         arrays = [state[n].data for n in names]
         check_payload(path, os.fstat(fh.fileno()).st_size, len(header), sum(a.nbytes for a in arrays))
         for a in arrays:
-            fh.readinto(a)
+            if fh.readinto(a) != a.nbytes:  # the file shrank after the length check
+                raise DataError(f"{path}: ended inside the tensor data while it was read")
             if not np.little_endian:  # the file holds little-endian float64
                 a.byteswap(inplace=True)
     return model, step

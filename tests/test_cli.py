@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from trisal import cli
 from trisal import data as D
 from trisal.data import _read_pnm, _write_pnm
+from trisal.errors import DataError
 
 TINY_RUN = {
     "model": {
@@ -83,9 +85,12 @@ def test_gen_data_writes_each_clip_as_it_is_generated(tmp_path, monkeypatch):
     assert {k: v for k, v in _tree_bytes(out).items() if k != "config.json"} == built
 
 
+# an object moving up to 40 px a frame leaves a 16 px frame on every layout seed 1 draws
+UNREALIZABLE = {"seed": 1, "frames": 8, "size": 16, "speed": 40.0}
+
+
 def test_gen_data_unrealizable_clip_after_a_good_one_exits_2(tmp_path, capsys):
-    # an object moving up to 40 px a frame leaves a 16 px frame on every layout seed 1 draws
-    run = {"clips": [{"seed": 5, "frames": 2, "size": 32}, {"seed": 1, "frames": 8, "size": 16, "speed": 40.0}]}
+    run = {"clips": [{"seed": 5, "frames": 2, "size": 32}, UNREALIZABLE]}
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(run))
     out = tmp_path / "gen"
@@ -93,6 +98,24 @@ def test_gen_data_unrealizable_clip_after_a_good_one_exits_2(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR CONFIG: cannot realize clip spec"), lines
     assert os.path.isdir(out / "clip00") and not os.path.exists(out / "manifest.json")
+
+
+def test_failed_gen_data_over_a_dataset_leaves_none_readable(tmp_path, capsys):
+    # the old manifest goes before the first clip is written, so old and new frames never read as one dataset
+    out = tmp_path / "gen"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"clips": [{"seed": 5, "frames": 2, "size": 32}]}))
+    assert cli.main(["gen-data", "--config", str(good), "--out", str(out)]) == 0
+    assert len(D.read_dataset(out)) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"clips": [{"seed": 6, "frames": 2, "size": 32}, UNREALIZABLE]}))
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(bad), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR CONFIG: cannot realize clip spec"), lines
+    assert not os.path.exists(out / "manifest.json")
+    with pytest.raises(DataError, match=re.escape(str(out / "manifest.json"))):
+        D.read_dataset(out)
 
 
 def test_train_artifacts(workdir):
@@ -569,7 +592,7 @@ def test_unwritable_out_fails_before_the_work(one_step_run, tmp_path, capsys, mo
     def work(*args, **kwargs):
         raise AssertionError(f"{command} did its work before writing --out")
 
-    monkeypatch.setattr(cli.D, "build_dataset", work)
+    monkeypatch.setattr(cli.D, "generate_clip", work)  # gen-data's work, one clip at a time
     monkeypatch.setattr(cli.M, "fit", work)
     out = tmp_path / "o"
     out.write_bytes(b"not a directory\n")

@@ -579,6 +579,25 @@ def test_checkpoint_load_reads_each_tensor_into_the_model(tmp_path):
     assert all(s1[k].data.tobytes() == s2[k].data.tobytes() for k in s1)
 
 
+def test_checkpoint_cut_while_it_is_read_is_data_error(tmp_path, monkeypatch):
+    # a file that shrinks after the length check passed: the tensor read comes up short
+    model = M.build(small_config())
+    path = tmp_path / "ck"
+    M.save_checkpoint(path, model, step=1)
+    path.write_bytes(path.read_bytes()[:-3])
+    monkeypatch.setattr(M, "check_payload", lambda *args: None)
+    with pytest.raises(DataError, match=re.escape(f"{path}: ended inside the tensor data")):
+        M.load_checkpoint(path)
+
+
+def test_every_state_array_can_be_read_into():
+    # load_checkpoint reads into each array's buffer, which must be C-contiguous, writable float64
+    for v in M.VARIANTS:
+        for name, t in M.build(small_config(variant=v)).state_dict().items():
+            a = t.data
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable, (v, name)
+
+
 def test_predict_shape_and_range():
     model = M.build(small_config())
     pred = M.predict(model, *rand_inputs(seed=15))
