@@ -19,11 +19,6 @@ def _uniform_fan_in(rng, shape, fan_in):
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def _some(names, cap=5):
-    """A count and at most ``cap`` of the names, so one error line stays short."""
-    return f"{len(names)} [{', '.join(names[:cap])}{', ...' if len(names) > cap else ''}]"
-
-
 class Module:
     """Base class with automatic tensor/submodule registration. A tensor that
     requires gradients is a parameter; one that does not (running stats) is a
@@ -68,24 +63,6 @@ class Module:
 
     def state_dict(self):
         return dict(self.named_tensors())
-
-    def load_state_dict(self, state):
-        own = self.state_dict()
-        missing = sorted(set(own) - set(state))
-        extra = sorted(set(state) - set(own))
-        if missing or extra:
-            raise ConfigError(f"state dict mismatch: missing {_some(missing)}, unexpected {_some(extra)}")
-        for name, t in own.items():
-            src = state[name]
-            data = src.data if isinstance(src, Tensor) else np.asarray(src, dtype=np.float64)
-            if data.shape != t.data.shape:
-                raise ConfigError(f"state dict entry {name}: shape {data.shape} != {t.data.shape}")
-            t.data[...] = data
-
-    def zero_grad(self):
-        """Drop every parameter's gradient; the next backward creates it anew."""
-        for p in self.parameters():
-            p.grad = None
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

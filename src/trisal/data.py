@@ -438,10 +438,17 @@ def write_dataset(clips, out_dir):
 
 
 def _read_manifest(data_dir):
-    """(name, clip directory, frame indices, spec) for each manifest entry; a
-    manifest without clips, or with a frame count not a positive int, is a data fault."""
+    """(name, clip directory, frame indices, spec) for each manifest entry; a manifest without clips, a
+    frame count not a positive int, or a clip name that is not one path component (maps are written
+    under it, so a path would put them outside ``--out``) or that is repeated is a data fault."""
 
     def parse(m):
+        names = [e["name"] for e in m["clips"]]
+        for i, n in enumerate(names):
+            if type(n) is not str or n in ("", ".", "..") or any(c in n for c in ("/", os.sep, "\0")):
+                raise DataError(f"clip name {n!r:.80} is not one path component")
+            if n in names[:i]:
+                raise DataError(f"clip name {n!r} is repeated")
         clips = [
             (e["name"], os.path.join(data_dir, e["name"]), range(e["frames"]), ClipSpec.from_dict(e["spec"]))
             for e in m["clips"]

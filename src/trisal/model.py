@@ -196,18 +196,19 @@ def loss_total(outputs, gt):
 
 
 class SGD:
-    """Momentum SGD with decoupled parameter groups and L2 weight decay
-    folded into the gradient. A parameter whose ``grad`` is None is left as it is."""
+    """Momentum SGD over decoupled groups of ``(name, parameter)`` pairs, all of them in ``params``, with L2
+    weight decay folded into the gradient. A parameter whose ``grad`` is None is left as it is."""
 
     def __init__(self, groups, momentum=0.9, weight_decay=5e-4):
-        self.groups = [(list(params), lr) for params, lr in groups]
+        self.groups = [(list(named), lr) for named, lr in groups]
+        self.params = [pair for named, _ in self.groups for pair in named]
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [[np.zeros_like(p.data) for p in params] for params, _ in self.groups]
+        self.velocity = [[np.zeros_like(p.data) for _, p in named] for named, _ in self.groups]
 
     def step(self):
-        for (params, lr), vels in zip(self.groups, self.velocity):
-            for p, v in zip(params, vels):
+        for (named, lr), vels in zip(self.groups, self.velocity):
+            for (_, p), v in zip(named, vels):
                 if p.grad is None:
                     continue
                 # The bits of v = m * v + (grad + wd * data); data -= lr * v, with one temporary
@@ -228,7 +229,7 @@ def is_backbone_param(name):
 def make_optimizer(model, config):
     backbone, heads = [], []
     for name, p in model.named_parameters():
-        (backbone if is_backbone_param(name) else heads).append(p)
+        (backbone if is_backbone_param(name) else heads).append((name, p))
     return SGD([(backbone, config.lr_backbone), (heads, config.lr_head)])
 
 
@@ -248,7 +249,8 @@ def make_batch(samples, indices):
 
 def train_step(model, optimizer, batch, step=None):
     rgb, depth, flow, gt = batch
-    model.zero_grad()
+    for _, p in optimizer.params:  # the next backward creates each gradient anew
+        p.grad = None
     model.train()
     with T.Tape() as tape:
         outputs = model(rgb, depth, flow)
@@ -259,7 +261,7 @@ def train_step(model, optimizer, batch, step=None):
             where = f"op '{culprit[0]}' (record {culprit[1]})" if culprit else "loss"
             raise NumericalError(f"non-finite loss at step {step}: first non-finite tensor from {where}")
         T.backward(total)
-    for name, p in model.named_parameters():
+    for name, p in optimizer.params:
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericalError(f"non-finite gradient at step {step} in parameter '{name}'; parameters not updated")
     optimizer.step()

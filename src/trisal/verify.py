@@ -1,5 +1,6 @@
 """Finite-difference verification suites behind the gradcheck command and the
-acceptance gate. Each check returns (name, max relative error, tolerance)."""
+acceptance gate. The op and block scopes are tables of (name, f, inputs,
+tolerance) rows; each check returns (name, max relative error, tolerance)."""
 
 import numpy as np
 
@@ -19,118 +20,88 @@ def _weighted_sum(out, seed):
     return T.sum_all(T.mul(out, v))
 
 
+def _probe(fn, seed, *args):
+    """The check function ``t -> weighted sum of fn(t, *args)``, its weights drawn from ``seed``."""
+    return lambda t: _weighted_sum(fn(t, *args), seed)
+
+
+def _check_rows(rows):
+    """Each (name, f, inputs, tol) row is checked in every one of its inputs; the worst error stands for the row."""
+    return [(name, max(T.grad_check(f, t) for t in inputs), tol) for name, f, inputs, tol in rows]
+
+
+def _conv_bn_relu(mode, seed):
+    """The row of conv2d with a BN -> ReLU epilogue, stride 2, dilation 2, checked in x, w, gamma and beta."""
+    x, w = _rand((2, 3, 7, 7), seed), _rand((4, 3, 3, 3), seed + 1)
+    gamma, beta = _rand((4,), seed + 2, 0.5, 1.5), _rand((4,), seed + 3)
+    rng = np.random.default_rng(seed + 4)
+    epilogue = (gamma, beta, (Tensor(rng.uniform(-0.2, 0.2, 4)), Tensor(rng.uniform(0.5, 1.5, 4))), mode)
+
+    def f(_):  # reads the row's tensors; grad_check perturbs each in place
+        return _weighted_sum(T.conv2d(x, w, None, 2, 2, epilogue, True), seed + 5)
+
+    return f"conv2d_bn_relu_{mode}", f, (x, w, gamma, beta), 1e-5
+
+
 def op_checks():
     """Gradient checks for each primitive op, tightest tolerance first."""
-    checks = []
-    x = _rand((5, 7), 1)
-    w = _rand((7, 3), 2)
-    checks.append(("matmul", T.grad_check(lambda t: _weighted_sum(T.matmul(t, w), 3), x), 1e-6))
-
-    xb = _rand((2, 3, 5), 4)
-    wb = _rand((2, 5, 4), 5)
-    checks.append(
-        ("matmul_batched", T.grad_check(lambda t: _weighted_sum(T.matmul(t, wb), 6), xb), 1e-6)
-    )
-
-    xc, wc, bc = _rand((2, 3, 8, 8), 7), _rand((4, 3, 3, 3), 8), _rand((4,), 9)
-    checks.append(("conv2d", T.grad_check(lambda t: _weighted_sum(T.conv2d(t, wc, bc, 1, 2), 10), xc), 1e-6))
-    xt, wt = _rand((1, 2, 7, 7), 30), _rand((3, 2, 3, 3), 31)  # stride 2: g is zero-filled in the backward
-    checks.append(("conv2d_strided", T.grad_check(lambda t: _weighted_sum(T.conv2d(t, wt, None, 2), 32), xt), 1e-6))
-
-    xs = _rand((6, 6), 11)
-    checks.append(("softmax_rows", T.grad_check(lambda t: _weighted_sum(T.softmax_rows(t), 12), xs), 1e-6))
-
-    def bn(t):
-        gamma = Tensor(np.random.default_rng(13).uniform(0.5, 1.5, 3))
-        beta = Tensor(np.random.default_rng(14).uniform(-0.5, 0.5, 3))
-        stats = (Tensor(np.zeros(3)), Tensor(np.ones(3)))
-        return _weighted_sum(T.batchnorm2d(t, gamma, beta, stats, "train"), 15)
-
-    checks.append(("batchnorm2d", T.grad_check(bn, _rand((2, 3, 4, 4), 16)), 1e-5))
-
-    for mode, seed in (("train", 90), ("eval", 96)):  # conv2d with a BN -> ReLU epilogue, stride 2, dilation 2
-        x, w = _rand((2, 3, 7, 7), seed), _rand((4, 3, 3, 3), seed + 1)
-        gamma, beta = _rand((4,), seed + 2, 0.5, 1.5), _rand((4,), seed + 3)
-        rng = np.random.default_rng(seed + 4)
-        epilogue = (gamma, beta, (Tensor(rng.uniform(-0.2, 0.2, 4)), Tensor(rng.uniform(0.5, 1.5, 4))), mode)
-
-        def f(_):  # reads this iteration's tensors; grad_check perturbs them in place
-            return _weighted_sum(T.conv2d(x, w, None, 2, 2, epilogue, True), seed + 5)
-
-        checks.append((f"conv2d_bn_relu_{mode}", max(T.grad_check(f, t) for t in (x, w, gamma, beta)), 1e-5))
-
     x4 = _rand((2, 3, 4, 4), 17)
     other = Tensor(np.random.default_rng(18).uniform(0.2, 1.0, (2, 3, 4, 4)))
-    simple = [
-        ("add", lambda t: _weighted_sum(T.add(t, other), 19)),
-        ("sub", lambda t: _weighted_sum(T.sub(t, other), 20)),
-        ("mul", lambda t: _weighted_sum(T.mul(t, other), 21)),
-        ("div", lambda t: _weighted_sum(T.div(t, other), 22)),
-        ("relu", lambda t: _weighted_sum(T.relu(T.add(t, Tensor(2.0))), 23)),
-        ("sigmoid", lambda t: _weighted_sum(T.sigmoid(t), 24)),
-        ("log", lambda t: _weighted_sum(T.log(T.add(t, Tensor(2.0))), 25)),
-        ("clamp", lambda t: _weighted_sum(T.clamp(t, -0.9, 0.9), 26)),
-        ("concat_channels", lambda t: _weighted_sum(T.concat_channels([t, other]), 27)),
-        ("upsample_bilinear_x2", lambda t: _weighted_sum(T.upsample_bilinear_x2(t), 28)),
-        (
-            "global_avg_pool",
-            lambda t: _weighted_sum(
-                T.broadcast_hw(T.reshape(T.global_avg_pool(t), (2, 3, 1, 1)), 4, 4), 29
-            ),
-        ),
-    ]
-    for name, f in simple:
-        checks.append((name, T.grad_check(f, x4), 1e-5))
-    return checks
+    gamma = Tensor(np.random.default_rng(13).uniform(0.5, 1.5, 3))
+    beta = Tensor(np.random.default_rng(14).uniform(-0.5, 0.5, 3))
+    bn = (gamma, beta, (Tensor(np.zeros(3)), Tensor(np.ones(3))), "train")
+    return _check_rows([
+        ("matmul", _probe(T.matmul, 3, _rand((7, 3), 2)), [_rand((5, 7), 1)], 1e-6),
+        ("matmul_batched", _probe(T.matmul, 6, _rand((2, 5, 4), 5)), [_rand((2, 3, 5), 4)], 1e-6),
+        ("conv2d", _probe(T.conv2d, 10, _rand((4, 3, 3, 3), 8), _rand((4,), 9), 1, 2), [_rand((2, 3, 8, 8), 7)], 1e-6),
+        # stride 2: g is zero-filled in the backward
+        ("conv2d_strided", _probe(T.conv2d, 32, _rand((3, 2, 3, 3), 31), None, 2), [_rand((1, 2, 7, 7), 30)], 1e-6),
+        ("softmax_rows", _probe(T.softmax_rows, 12), [_rand((6, 6), 11)], 1e-6),
+        ("batchnorm2d", _probe(T.batchnorm2d, 15, *bn), [_rand((2, 3, 4, 4), 16)], 1e-5),
+        _conv_bn_relu("train", 90),
+        _conv_bn_relu("eval", 96),
+        ("add", _probe(T.add, 19, other), [x4], 1e-5),
+        ("sub", _probe(T.sub, 20, other), [x4], 1e-5),
+        ("mul", _probe(T.mul, 21, other), [x4], 1e-5),
+        ("div", _probe(T.div, 22, other), [x4], 1e-5),
+        ("relu", lambda t: _weighted_sum(T.relu(T.add(t, Tensor(2.0))), 23), [x4], 1e-5),
+        ("sigmoid", _probe(T.sigmoid, 24), [x4], 1e-5),
+        ("log", lambda t: _weighted_sum(T.log(T.add(t, Tensor(2.0))), 25), [x4], 1e-5),
+        ("clamp", _probe(T.clamp, 26, -0.9, 0.9), [x4], 1e-5),
+        ("concat_channels", lambda t: _weighted_sum(T.concat_channels([t, other]), 27), [x4], 1e-5),
+        ("upsample_bilinear_x2", _probe(T.upsample_bilinear_x2, 28), [x4], 1e-5),
+        ("global_avg_pool", lambda t: _weighted_sum(T.broadcast_hw(T.reshape(T.global_avg_pool(t), (2, 3, 1, 1)), 4, 4), 29),
+         [x4], 1e-5),
+    ])
 
 
 def block_checks():
     """Gradient checks through composite blocks, including both fusion
     modules and every fusion variant."""
-    checks = []
-    rng = np.random.default_rng(40)
-
-    bconv = B.BConv(2, 3, rng)
-    xb = _rand((1, 2, 4, 4), 41, lo=0.5, hi=2.0)
-    checks.append(("bconv", T.grad_check(lambda t: _weighted_sum(bconv(t), 42), xb), 1e-4))
-
-    ca = B.ChannelAttention(4, 2, rng)
-    checks.append(
-        ("channel_attention", T.grad_check(lambda t: _weighted_sum(ca(t), 43), _rand((1, 4, 3, 3), 44)), 1e-4)
-    )
-
-    aspp = B.ASPP(4, rng)
-    checks.append(("aspp", T.grad_check(lambda t: _weighted_sum(aspp(t), 45), _rand((1, 4, 4, 4), 46)), 1e-4))
-
-    mam = F.CrossModalAttention(4, 2, rng)
-    xr = _rand((1, 4, 3, 3), 47)
-    xd = _rand((1, 4, 3, 3), 48)
-    xf = _rand((1, 4, 3, 3), 49)
+    rng = np.random.default_rng(40)  # every block draws its weights from it, in row order
+    bconv, ca, aspp = B.BConv(2, 3, rng), B.ChannelAttention(4, 2, rng), B.ASPP(4, rng)
+    mam, sa = F.CrossModalAttention(4, 2, rng), F.SelfAttention(4, rng)
+    rfm2, rfm1, flat = F.RefinementFusion(4, 2, rng), F.RefinementFusion(4, 1, rng), F.FlatRefinementFusion(4, 2, rng)
+    cf = F.ConcatFuse(4, 2, rng)
+    xd, xf = _rand((1, 4, 3, 3), 48), _rand((1, 4, 3, 3), 49)
+    aux = [_rand((1, 4, 3, 3), 60), _rand((1, 4, 3, 3), 61)]
 
     def mam_f(t):
         yr, (yd, yf) = mam(t, [xd, xf])
         return T.add(_weighted_sum(yr, 50), T.add(_weighted_sum(yd, 51), _weighted_sum(yf, 52)))
 
-    checks.append(("attention_fusion", T.grad_check(mam_f, xr), 1e-4))
-
-    sa = F.SelfAttention(4, rng)
-    checks.append(
-        ("self_attention", T.grad_check(lambda t: _weighted_sum(sa(t), 53), _rand((1, 4, 3, 3), 54)), 1e-4)
-    )
-
-    for variant, fusion, n_aux in (("full", F.RefinementFusion, 2), ("full", F.RefinementFusion, 1),
-                                   ("flat_concat", F.FlatRefinementFusion, 2)):
-        rfm = fusion(4, n_aux, rng)
-        auxes = [_rand((1, 4, 3, 3), 60 + i) for i in range(n_aux)]
-        err = T.grad_check(lambda t: _weighted_sum(rfm(t, auxes), 63), _rand((1, 4, 3, 3), 64))
-        checks.append((f"refinement_{variant}_{n_aux}aux", err, 1e-4))
-
-    cf = F.ConcatFuse(4, 2, rng)
-    aux2 = [_rand((1, 4, 3, 3), 65), _rand((1, 4, 3, 3), 66)]
-    checks.append(
-        ("concat_fuse", T.grad_check(lambda t: _weighted_sum(cf(t, aux2), 67), _rand((1, 4, 3, 3), 68)), 1e-4)
-    )
-    return checks
+    return _check_rows([
+        ("bconv", _probe(bconv, 42), [_rand((1, 2, 4, 4), 41, lo=0.5, hi=2.0)], 1e-4),
+        ("channel_attention", _probe(ca, 43), [_rand((1, 4, 3, 3), 44)], 1e-4),
+        ("aspp", _probe(aspp, 45), [_rand((1, 4, 4, 4), 46)], 1e-4),
+        ("attention_fusion", mam_f, [_rand((1, 4, 3, 3), 47)], 1e-4),
+        ("self_attention", _probe(sa, 53), [_rand((1, 4, 3, 3), 54)], 1e-4),
+        ("refinement_full_2aux", _probe(rfm2, 63, aux), [_rand((1, 4, 3, 3), 64)], 1e-4),
+        ("refinement_full_1aux", _probe(rfm1, 63, aux[:1]), [_rand((1, 4, 3, 3), 64)], 1e-4),
+        ("refinement_flat_concat_2aux", _probe(flat, 63, aux), [_rand((1, 4, 3, 3), 64)], 1e-4),
+        ("concat_fuse", _probe(cf, 67, [_rand((1, 4, 3, 3), 65), _rand((1, 4, 3, 3), 66)]), [_rand((1, 4, 3, 3), 68)],
+         1e-4),
+    ])
 
 
 def model_checks():

@@ -222,24 +222,6 @@ def test_same_seed_identical_parameters():
 # Module mechanics
 
 
-def test_state_dict_roundtrip():
-    blk = B.BConv(2, 3, rng(36))
-    state = {k: Tensor(v.data.copy()) for k, v in blk.state_dict().items()}
-    for p in blk.parameters():
-        p.data += 0.5
-    blk.load_state_dict(state)
-    for k, v in blk.state_dict().items():
-        npt.assert_array_equal(v.data, state[k].data)
-
-
-def test_state_dict_rejects_mismatched_keys():
-    blk = B.BConv(2, 3, rng(37))
-    state = blk.state_dict()
-    state.pop(next(iter(state)))
-    with pytest.raises(ConfigError):
-        blk.load_state_dict(state)
-
-
 def test_train_eval_propagates():
     enc = B.Encoder(rng(38), width=4, cp_width=4)
     enc.eval()

@@ -218,6 +218,22 @@ def test_gradcheck_ops_passes(capsys):
     assert all("PASS" in line for line in table)
 
 
+def test_gradcheck_tables_are_pinned():
+    ops = [
+        ("matmul", 1e-6), ("matmul_batched", 1e-6), ("conv2d", 1e-6), ("conv2d_strided", 1e-6),
+        ("softmax_rows", 1e-6), ("batchnorm2d", 1e-5), ("conv2d_bn_relu_train", 1e-5), ("conv2d_bn_relu_eval", 1e-5),
+        ("add", 1e-5), ("sub", 1e-5), ("mul", 1e-5), ("div", 1e-5), ("relu", 1e-5), ("sigmoid", 1e-5), ("log", 1e-5),
+        ("clamp", 1e-5), ("concat_channels", 1e-5), ("upsample_bilinear_x2", 1e-5), ("global_avg_pool", 1e-5),
+    ]
+    blocks = [
+        ("bconv", 1e-4), ("channel_attention", 1e-4), ("aspp", 1e-4), ("attention_fusion", 1e-4),
+        ("self_attention", 1e-4), ("refinement_full_2aux", 1e-4), ("refinement_full_1aux", 1e-4),
+        ("refinement_flat_concat_2aux", 1e-4), ("concat_fuse", 1e-4),
+    ]
+    assert [(name, tol) for name, _, tol in cli.verify.op_checks()] == ops
+    assert [(name, tol) for name, _, tol in cli.verify.block_checks()] == blocks
+
+
 def test_gradcheck_failure_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(cli.verify, "run_scope", lambda scope: [("broken", 1.0, 1e-6)])
     assert cli.main(["gradcheck", "--scope", "ops"]) == 4
@@ -261,11 +277,22 @@ def _nan_in_flow(data_dir):
         fh.write(struct.pack("<f", float("nan")))
 
 
+def _manifest(edit):
+    return lambda d: _edit_json(edit)(os.path.join(d, "manifest.json"))
+
+
+def _clip_named_by_its_path(data_dir):
+    """The first clip named by the absolute path of its own directory, so it still reads."""
+    _manifest(lambda m: m["clips"][0].update(name=os.path.join(data_dir, "clip00")))(data_dir)
+
+
 DATA_FAULTS = [
     ("missing_rgb_frame", lambda d: os.remove(os.path.join(d, "clip00", "rgb", "0003.ppm")), "0003.ppm"),
     ("missing_flow_frame", lambda d: os.remove(os.path.join(d, "clip00", "flow", "0000.flo")), "0000.flo"),
     ("manifest_entry_without_frames", _drop_manifest_frames, "'frames'"),
     ("flow_non_finite", _nan_in_flow, "0000.flo: flow field holds 1 non-finite"),
+    ("manifest_clip_name_repeated", _manifest(lambda m: m["clips"].append(m["clips"][0])), "'clip00' is repeated"),
+    ("manifest_clip_name_is_a_path", _clip_named_by_its_path, "manifest.json: clip name"),
 ]
 
 
@@ -687,6 +714,19 @@ def test_ablate_report(workdir, tmp_path):
     assert len(rows) == 9
     logs = sorted(os.listdir(out / "logs"))
     assert len(logs) == 8
+
+
+def test_predict_writes_nothing_outside_out_for_a_clip_named_by_a_path(workdir, tmp_path, capsys):
+    data, elsewhere, out = tmp_path / "data", tmp_path / "elsewhere", tmp_path / "o"
+    shutil.copytree(workdir["data"], data)
+    shutil.copytree(data / "clip00", elsewhere)
+    _manifest(lambda m: m["clips"][0].update(name=str(elsewhere)))(str(data))  # the clip still reads
+    before = _tree_bytes(tmp_path)
+    ck = os.path.join(workdir["train"], "checkpoint")
+    assert cli.main(["predict", "--checkpoint", ck, "--config", workdir["cfg"], "--data", str(data), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:") and "manifest.json" in lines[0], lines
+    assert _tree_bytes(tmp_path) == before
 
 
 def test_predict_requires_checkpoint_flag():

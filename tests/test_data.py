@@ -1,6 +1,7 @@
 """Unit tests for the synthetic clip generator and its file formats."""
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -358,6 +359,18 @@ def test_truncated_manifest_is_data_error(tmp_path):
         path.write_bytes(whole[:cut])
         with pytest.raises(DataError):
             D.read_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "clip\0", 7, None])
+def test_clip_name_must_be_one_path_component(tmp_path, name):
+    D.write_dataset(D.build_dataset([D.ClipSpec(seed=76, frames=1, size=32)]), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["clips"][0]["name"] = name
+    path.write_text(json.dumps(doc))
+    for read in (D.read_dataset, D.read_masks):
+        with pytest.raises(DataError, match="manifest.json: clip name .* is not one path component"):
+            read(tmp_path / "ds")
 
 
 def test_interrupted_dataset_write_is_not_readable(tmp_path, monkeypatch):

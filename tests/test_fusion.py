@@ -248,8 +248,9 @@ def test_refinement_symmetric_aux_swap_keeps_main_branch():
     # auxiliaries, so exchanging depth and flow must leave it unchanged.
     xr, xd, xf = trip(ch=8, hw=4, seed=41)
     rfm = F.RefinementFusion(8, 2, rng(42))
-    src = {k: Tensor(v.data.copy()) for k, v in rfm.adapt_aux[0].state_dict().items()}
-    rfm.adapt_aux[1].load_state_dict(src)
+    src = rfm.adapt_aux[0].state_dict()
+    for name, t in rfm.adapt_aux[1].state_dict().items():
+        t.data[...] = src[name].data
     main_gated = record(rfm.gate_main)
     rfm(xr, [xd, xf])
     rfm(xr, [xf, xd])

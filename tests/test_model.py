@@ -312,7 +312,7 @@ def test_parameter_groups_cover_everything():
 def test_sgd_step_is_the_textbook_update_bit_for_bit():
     rng = np.random.default_rng(19)
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((3, 4), (5,))]
-    opt = M.SGD([(params[:1], 0.1), (params[1:], 0.03)], momentum=0.9, weight_decay=5e-4)
+    opt = M.SGD([([("a", params[0])], 0.1), ([("b", params[1])], 0.03)], momentum=0.9, weight_decay=5e-4)
     data, vel = [p.data.copy() for p in params], [np.zeros_like(p.data) for p in params]
     for _ in range(3):
         for p in params:
@@ -373,6 +373,18 @@ def test_zero_lr_freezes_parameters_bitwise():
     M.train_step(model, opt, M.make_batch(samples, [0, 1]))
     after = {k: v.data.tobytes() for k, v in model.state_dict().items() if v.requires_grad}
     assert before == after
+
+
+def test_train_step_drops_the_gradients_of_the_step_before():
+    samples = make_samples(2, seed=15)
+    cfg = small_config(lr_backbone=0.0, lr_head=0.0)  # the same weights and batch, so the same gradients
+    model = M.build(cfg)
+    opt = M.make_optimizer(model, cfg)
+    batch = M.make_batch(samples, [0, 1])
+    M.train_step(model, opt, batch)
+    first = [p.grad.tobytes() for _, p in opt.params]
+    M.train_step(model, opt, batch)
+    assert [p.grad.tobytes() for _, p in opt.params] == first
 
 
 def test_train_step_leaves_no_tape_alive():

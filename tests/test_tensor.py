@@ -740,7 +740,7 @@ def test_tensor_from_another_tape_is_a_leaf():
     assert x.grad is None  # first tape was never run backward
 
 
-def test_leaf_grad_is_made_by_backward_summed_over_passes_and_dropped_by_zero_grad():
+def test_leaf_grad_is_made_by_backward_and_summed_over_passes():
     m = Module()
     m.w = rand(2, 3, seed=44)
     assert m.w.grad is None
@@ -750,8 +750,6 @@ def test_leaf_grad_is_made_by_backward_summed_over_passes_and_dropped_by_zero_gr
             loss = T.sum_all(T.mul(m.w, m.w))
         T.backward(loss)
     npt.assert_array_equal(m.w.grad, once + once)
-    m.zero_grad()
-    assert m.w.grad is None
 
 
 def test_recorded_tensors_hold_no_grad_after_backward():
